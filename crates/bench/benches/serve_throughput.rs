@@ -5,9 +5,9 @@
 //! request as soon as the previous response lands (closed loop). Two
 //! server configurations are compared over identical traffic:
 //!
-//! * **batched** — the production micro-batcher (max-batch 64, 1 ms flush
-//!   window): concurrent requests coalesce into shared
-//!   `Engine::advise_many` calls;
+//! * **batched** — the production micro-batcher at max-batch 64: requests
+//!   that queue while a batch executes coalesce into the next shared
+//!   `Engine::advise_many` call;
 //! * **per-request** — max-batch 1: every request runs its own engine
 //!   call, the pre-serving baseline shape.
 //!
@@ -30,7 +30,7 @@ use serde::Serialize;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const PLATFORM: Platform = Platform::SummitV100;
 
@@ -282,7 +282,6 @@ fn record_json(c: &mut Criterion) {
         &engine,
         BatchConfig {
             max_batch: 64,
-            max_wait: Duration::from_millis(1),
             queue_depth: 1024,
         },
         clients,
@@ -292,7 +291,6 @@ fn record_json(c: &mut Criterion) {
         &engine,
         BatchConfig {
             max_batch: 1,
-            max_wait: Duration::ZERO,
             queue_depth: 1024,
         },
         clients,
@@ -319,7 +317,6 @@ fn record_json(c: &mut Criterion) {
                 &engine,
                 BatchConfig {
                     max_batch: 256,
-                    max_wait: Duration::from_millis(1),
                     queue_depth: (clients * 4).max(1024),
                 },
                 clients,

@@ -8,29 +8,24 @@
 //! count: the event-driven server's handful of workers can have hundreds
 //! of requests pending in one batch, because no thread blocks per request.
 //! (The synchronous [`MicroBatcher::advise`] wrapper still exists for
-//! callers that want to wait in place.) A single scheduler thread drains
-//! the queue with an adaptive flush policy:
+//! callers that want to wait in place.)
 //!
-//! 1. **Backlog**: requests that queued while the previous batch executed
-//!    are drained (up to [`BatchConfig::max_batch`]) and flushed
-//!    immediately — under sustained load, execution time *is* the
-//!    coalescing window and batching costs no extra latency;
-//! 2. **Deadline**: a lone request arriving on an idle scheduler is held
-//!    for at most [`BatchConfig::max_wait`] in case concurrent company is
-//!    already in flight, and flushed the moment any arrives.
-//!
-//! So the tail latency of an unloaded server is one prediction plus at
-//! most `max_wait`, while a loaded one rides the engine's batched
-//! execution path at full speed — for the GNN backend, one disjoint-union
-//! forward pass per flush instead of one tape per request. Predictions
-//! are invariant to batch composition (pinned by `pg-gnn`'s
+//! A single scheduler thread drains the queue with one flush rule: as soon
+//! as it is free and anything is queued, it takes up to
+//! [`BatchConfig::max_batch`] requests and executes them. Nothing is held
+//! back for company. Requests that arrive while a batch executes queue up
+//! and form the next batch, so under load execution time *is* the
+//! coalescing window, and an idle server answers a lone request with no
+//! added wait. A loaded server rides the engine's batched execution path
+//! at full speed — for the GNN backend, one disjoint-union forward pass per
+//! flush instead of one tape per request. Predictions are invariant to
+//! batch composition (pinned by `pg-gnn`'s
 //! `batched_prediction_is_invariant_to_batch_composition`), so coalescing
 //! never changes an answer, only its latency.
 //!
-//! On shutdown the scheduler drains: queued requests are still flushed
-//! (deadline waiving — there is no reason to wait once no more traffic is
-//! coming), new submissions are refused, and the thread exits when the
-//! queue is empty.
+//! On shutdown the scheduler drains: queued requests are still flushed,
+//! new submissions are refused, and the thread exits when the queue is
+//! empty.
 
 use crate::metrics::ServeMetrics;
 use crate::ServeError;
@@ -40,15 +35,12 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
-/// Flush policy of the micro-batcher.
+/// Bounds of the micro-batcher: batch size and queue depth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Most requests coalesced into one engine call.
     pub max_batch: usize,
-    /// Longest a batch is held open waiting for company.
-    pub max_wait: Duration,
     /// Most requests queued but not yet executing; submissions beyond this
     /// are refused with [`ServeError::Overloaded`]. The server's admission
     /// control normally rejects earlier — this is the batcher's own
@@ -65,7 +57,6 @@ impl Default for BatchConfig {
             // cap of 64 rarely filled because a blocked thread per request
             // bounded the backlog at the worker count.)
             max_batch: 256,
-            max_wait: Duration::from_millis(1),
             queue_depth: 4096,
         }
     }
@@ -86,7 +77,7 @@ struct Job {
     /// Open batch-wait measurement: started at submit, finished when the
     /// scheduler collects the job into a batch. Feeds both the `batch_wait`
     /// stage histogram and (for traced requests) the span tree.
-    wait_span: Option<Span<'static>>,
+    wait_span: Span<'static>,
 }
 
 struct Shared {
@@ -108,6 +99,12 @@ pub struct MicroBatcher {
 impl MicroBatcher {
     /// Start the scheduler thread over a shared engine.
     pub fn start(engine: Arc<Engine>, config: BatchConfig, metrics: Arc<ServeMetrics>) -> Self {
+        // A zero cap would make every batch empty, which the scheduler
+        // reads as "drained dry": it would exit with requests queued.
+        let config = BatchConfig {
+            max_batch: config.max_batch.max(1),
+            ..config
+        };
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             arrived: Condvar::new(),
@@ -118,7 +115,7 @@ impl MicroBatcher {
         shared
             .metrics
             .batch_capacity
-            .store(config.max_batch.max(1) as u64, Ordering::Relaxed);
+            .store(config.max_batch as u64, Ordering::Relaxed);
         let worker_shared = Arc::clone(&shared);
         let scheduler = std::thread::Builder::new()
             .name("pg-serve-batcher".into())
@@ -154,7 +151,7 @@ impl MicroBatcher {
         }
         let o = obs();
         let enqueued_us = monotonic_us();
-        let wait_span = Some(o.span(&trace, Stage::BatchWait, trace.root()));
+        let wait_span = o.span(&trace, Stage::BatchWait, trace.root());
         queue.push_back(Job {
             request,
             responder,
@@ -228,121 +225,118 @@ impl Drop for MicroBatcher {
 
 fn scheduler_loop(shared: &Shared, engine: &Engine) {
     loop {
-        let mut batch = collect_batch(shared);
+        let batch = collect_batch(shared);
         if batch.is_empty() {
             // Only returned empty when draining and the queue is dry.
             return;
         }
-        // The wait is over the moment the batch is assembled; the engine
-        // stages take over latency attribution from here.
-        for job in &mut batch {
-            if let Some(span) = job.wait_span.take() {
-                span.finish();
-            }
-        }
         shared.metrics.record_batch(batch.len());
-        let requests: Vec<AdviseRequest> = batch.iter().map(|job| job.request.clone()).collect();
-        let traces: Vec<TraceHandle> = batch.iter().map(|job| job.trace.clone()).collect();
+        let mut requests = Vec::with_capacity(batch.len());
+        let mut traces = Vec::with_capacity(batch.len());
+        let mut responders = Vec::with_capacity(batch.len());
+        for job in batch {
+            // The wait is over the moment the batch is assembled; the
+            // engine stages take over latency attribution from here.
+            job.wait_span.finish();
+            requests.push(job.request);
+            traces.push(job.trace);
+            responders.push(job.responder);
+        }
         let results = engine.advise_many_traced(&requests, &traces);
-        for (job, result) in batch.into_iter().zip(results) {
-            (job.responder)(result.map_err(ServeError::Engine));
+        for (responder, result) in responders.into_iter().zip(results) {
+            responder(result.map_err(ServeError::Engine));
         }
     }
 }
 
-/// Block until at least one job arrives (or drain), then assemble a batch.
+/// Block until at least one job is queued (or the batcher drains dry), then
+/// take up to `max_batch` jobs from the front of the queue.
 ///
-/// Backlog that accumulated while the previous batch executed is the
-/// natural coalescing window: it is drained and flushed immediately, with
-/// no added latency. The `max_wait` deadline only comes into play for a
-/// *lone* request arriving on an idle scheduler — it is held briefly in
-/// case concurrent company is in flight, and flushed as soon as any
-/// arrives (or the deadline passes). A saturated server therefore batches
-/// at full speed, while an unloaded one adds at most `max_wait` to a
-/// single request's latency.
+/// There is no hold for company: jobs that queue while a batch executes
+/// form the next batch, so a saturated server batches at full speed and an
+/// idle one flushes a lone request at once.
 fn collect_batch(shared: &Shared) -> Vec<Job> {
     let mut queue = shared.queue.lock().expect("batcher queue poisoned");
-    // Re-point the oldest-waiter gauge at whatever still queues (0 when
-    // drained empty); called under the queue lock at every exit so the
-    // gauge can never dangle on a collected job.
-    let sync_oldest = |queue: &VecDeque<Job>| {
-        let stamp = queue.front().map_or(0, |job| job.enqueued_us + 1);
-        shared
-            .metrics
-            .batch_oldest_enqueue_us
-            .store(stamp, Ordering::Relaxed);
-    };
-    while queue.is_empty() {
-        if shared.draining.load(Ordering::SeqCst) {
-            sync_oldest(&queue);
-            return Vec::new();
-        }
+    while queue.is_empty() && !shared.draining.load(Ordering::SeqCst) {
         queue = shared.arrived.wait(queue).expect("batcher queue poisoned");
     }
-
-    let mut batch = Vec::with_capacity(shared.config.max_batch.min(queue.len()));
-    let drain_backlog = |queue: &mut VecDeque<Job>, batch: &mut Vec<Job>| {
-        while batch.len() < shared.config.max_batch {
-            match queue.pop_front() {
-                Some(job) => batch.push(job),
-                None => break,
-            }
-        }
-    };
-    drain_backlog(&mut queue, &mut batch);
-    // Backlog already coalesced (or the cap is 1): flush with no hold.
-    if batch.len() > 1 || batch.len() >= shared.config.max_batch {
-        sync_oldest(&queue);
-        return batch;
-    }
-
-    // A lone request from an idle queue: hold it for company until the
-    // deadline, flushing as soon as any arrives.
-    let deadline = Instant::now() + shared.config.max_wait;
-    loop {
-        if shared.draining.load(Ordering::SeqCst) {
-            sync_oldest(&queue);
-            return batch; // no more traffic is coming
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            sync_oldest(&queue);
-            return batch;
-        }
-        let (guard, _timeout) = shared
-            .arrived
-            .wait_timeout(queue, deadline - now)
-            .expect("batcher queue poisoned");
-        queue = guard;
-        drain_backlog(&mut queue, &mut batch);
-        if batch.len() > 1 {
-            sync_oldest(&queue);
-            return batch;
-        }
-    }
+    let take = queue.len().min(shared.config.max_batch);
+    let batch: Vec<Job> = queue.drain(..take).collect();
+    // Re-point the oldest-waiter gauge at whatever still queues (0 when
+    // drained empty), under the queue lock so the gauge can never dangle
+    // on a collected job.
+    let stamp = queue.front().map_or(0, |job| job.enqueued_us + 1);
+    shared
+        .metrics
+        .batch_oldest_enqueue_us
+        .store(stamp, Ordering::Relaxed);
+    batch
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{gated, Gate};
+    use crate::metrics::MetricsSnapshot;
+    use pg_engine::SimulatorBackend;
     use pg_perfsim::Platform;
 
     fn test_engine() -> Arc<Engine> {
         Arc::new(Engine::builder().platform(Platform::SummitV100).build())
     }
 
+    /// A simulator engine whose first `predict_batch` holds at the gate.
+    fn gated_engine() -> (Arc<Engine>, Gate) {
+        let (backend, gate) = gated(SimulatorBackend::noise_free());
+        gate.arm();
+        let engine = Engine::builder()
+            .platform(Platform::SummitV100)
+            .backend(backend)
+            .build();
+        (Arc::new(engine), gate)
+    }
+
     fn catalog_request() -> AdviseRequest {
         AdviseRequest::catalog("MM/matmul")
     }
 
+    /// Submit one request whose outcome lands on `done`.
+    fn submit_to(batcher: &MicroBatcher, done: &mpsc::Sender<Result<AdviseReport, ServeError>>) {
+        let done = done.clone();
+        batcher.submit(
+            catalog_request(),
+            TraceHandle::disabled(),
+            Box::new(move |outcome| done.send(outcome).unwrap()),
+        );
+    }
+
+    /// Hold the first job's batch at the gate, queue `behind` more jobs
+    /// behind it, then release, and wait for every outcome.
+    fn hold_one_then_queue(config: BatchConfig, behind: usize) -> MetricsSnapshot {
+        let (engine, gate) = gated_engine();
+        let metrics = Arc::new(ServeMetrics::default());
+        let batcher = MicroBatcher::start(engine, config, Arc::clone(&metrics));
+        let (done, outcomes) = mpsc::channel();
+        submit_to(&batcher, &done);
+        gate.wait_held();
+        for _ in 0..behind {
+            submit_to(&batcher, &done);
+        }
+        gate.release();
+        for _ in 0..=behind {
+            assert!(!outcomes.recv().unwrap().unwrap().rankings.is_empty());
+        }
+        batcher.shutdown();
+        metrics.snapshot()
+    }
+
     #[test]
-    fn lone_requests_flush_at_the_deadline() {
+    fn lone_request_flushes_at_once() {
         let metrics = Arc::new(ServeMetrics::default());
         let batcher = MicroBatcher::start(
             test_engine(),
             BatchConfig {
                 max_batch: 64,
-                max_wait: Duration::from_millis(2),
                 queue_depth: 16,
             },
             Arc::clone(&metrics),
@@ -357,60 +351,50 @@ mod tests {
 
     #[test]
     fn concurrent_submissions_coalesce() {
-        let metrics = Arc::new(ServeMetrics::default());
-        let batcher = Arc::new(MicroBatcher::start(
-            test_engine(),
+        // Seven jobs queue while the first job's batch executes, and the
+        // scheduler takes all of them as the next batch.
+        let snap = hold_one_then_queue(
             BatchConfig {
                 max_batch: 64,
-                // Generous window so every thread lands in one batch even
-                // under scheduler noise.
-                max_wait: Duration::from_millis(200),
                 queue_depth: 64,
             },
-            Arc::clone(&metrics),
-        ));
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let batcher = Arc::clone(&batcher);
-                std::thread::spawn(move || batcher.advise(catalog_request()).unwrap())
-            })
-            .collect();
-        let reports: Vec<AdviseReport> = threads.into_iter().map(|t| t.join().unwrap()).collect();
-        assert!(reports.iter().all(|r| !r.rankings.is_empty()));
-        let snap = metrics.snapshot();
-        assert_eq!(snap.batched_requests, 8);
-        assert!(
-            snap.coalesced_batches >= 1,
-            "8 concurrent requests should coalesce at least once: {snap:?}"
+            7,
         );
-        assert!(snap.max_batch_size > 1);
+        assert_eq!(snap.batched_requests, 8);
+        assert_eq!(snap.batches, 2, "{snap:?}");
+        assert_eq!(snap.coalesced_batches, 1, "{snap:?}");
+        assert_eq!(snap.max_batch_size, 7, "{snap:?}");
     }
 
     #[test]
     fn max_batch_caps_a_flush() {
-        let metrics = Arc::new(ServeMetrics::default());
-        let batcher = Arc::new(MicroBatcher::start(
-            test_engine(),
+        // Six jobs queued behind a held one leave in three batches of two.
+        let snap = hold_one_then_queue(
             BatchConfig {
                 max_batch: 2,
-                max_wait: Duration::from_millis(100),
                 queue_depth: 64,
             },
+            6,
+        );
+        assert_eq!(snap.batched_requests, 7);
+        assert_eq!(snap.batches, 4, "{snap:?}");
+        assert!(snap.max_batch_size <= 2, "{snap:?}");
+    }
+
+    #[test]
+    fn zero_max_batch_still_serves() {
+        let metrics = Arc::new(ServeMetrics::default());
+        let batcher = MicroBatcher::start(
+            test_engine(),
+            BatchConfig {
+                max_batch: 0,
+                queue_depth: 4,
+            },
             Arc::clone(&metrics),
-        ));
-        let threads: Vec<_> = (0..6)
-            .map(|_| {
-                let batcher = Arc::clone(&batcher);
-                std::thread::spawn(move || batcher.advise(catalog_request()).unwrap())
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let snap = metrics.snapshot();
-        assert_eq!(snap.batched_requests, 6);
-        assert!(snap.max_batch_size <= 2);
-        assert!(snap.batches >= 3);
+        );
+        let report = batcher.advise(catalog_request()).unwrap();
+        assert!(!report.rankings.is_empty());
+        assert_eq!(metrics.snapshot().max_batch_size, 1);
     }
 
     #[test]
@@ -437,7 +421,6 @@ mod tests {
             test_engine(),
             BatchConfig {
                 max_batch: 4,
-                max_wait: Duration::from_millis(1),
                 queue_depth: 0,
             },
             metrics,

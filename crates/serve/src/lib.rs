@@ -15,7 +15,8 @@
 //! client ──┼──► (1 thread: accept,  ──► (N threads: route,   ─┐ async
 //! client ──┤    incremental parse,      parse JSON)           │ submit
 //! client ──┘    write, timeouts)                              ▼
-//!                                     micro-batcher (≤ max_batch, ≤ max_wait)
+//!                                     micro-batcher (≤ max_batch, flushed
+//!                                     when the scheduler is free)
 //!                                                 │ one Engine::advise_many
 //!                                                 ▼
 //!                                  backend predict_batch (GNN: one
@@ -51,6 +52,9 @@
 
 pub mod batcher;
 pub(crate) mod event;
+#[cfg(test)]
+#[path = "../tests/gate/mod.rs"]
+mod gate;
 pub mod http;
 pub mod metrics;
 pub mod poll;

@@ -56,7 +56,7 @@ pub struct ServeConfig {
     /// Request-executing worker threads (the event thread and the batcher
     /// scheduler are separate and always one each).
     pub workers: usize,
-    /// Micro-batcher flush policy.
+    /// Micro-batcher bounds (batch size, queue depth).
     pub batch: BatchConfig,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
@@ -584,7 +584,8 @@ fn tune(shared: &Shared, body: &[u8], trace: &TraceHandle) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pg_engine::AdviseReport;
+    use crate::gate::gated;
+    use pg_engine::{AdviseReport, SimulatorBackend};
     use pg_perfsim::Platform;
     use std::io::{Read, Write};
     use std::net::TcpStream;
@@ -919,37 +920,46 @@ mod tests {
 
     #[test]
     fn slow_advise_saturates_admission_for_real() {
-        // max_inflight 2 with many connections allowed: flood with slow
-        // one-per-batch requests and verify at least one real 429 under
-        // load.
-        let (server, _) = start(ServeConfig {
-            max_inflight: 2,
-            batch: BatchConfig {
-                max_batch: 1,
-                max_wait: Duration::from_millis(20),
-                queue_depth: 1024,
+        // The first admitted request's batch holds at the gate, so both
+        // admission slots stay taken: the other ten clients must be shed
+        // with 429 before the release, and the two admitted ones answer
+        // 200 after it.
+        let (backend, gate) = gated(SimulatorBackend::noise_free());
+        gate.arm();
+        let engine = Engine::builder()
+            .platform(Platform::SummitV100)
+            .backend(backend)
+            .build();
+        let server = Server::start(
+            Arc::new(engine),
+            ServeConfig {
+                max_inflight: 2,
+                ..ServeConfig::default()
             },
-            ..ServeConfig::default()
-        });
+        )
+        .unwrap();
         let addr = server.addr();
         let json = serde_json::to_string(&AdviseRequest::catalog("MM/matmul")).unwrap();
+        let (done, statuses) = mpsc::channel();
         let clients: Vec<_> = (0..12)
             .map(|_| {
-                let json = json.clone();
-                std::thread::spawn(move || post_advise(addr, &json).0)
+                let (json, done) = (json.clone(), done.clone());
+                std::thread::spawn(move || done.send(post_advise(addr, &json).0).unwrap())
             })
             .collect();
-        let statuses: Vec<u16> = clients.into_iter().map(|c| c.join().unwrap()).collect();
-        assert!(statuses.iter().all(|s| *s == 200 || *s == 429));
-        assert!(statuses.contains(&200));
+        let next_status = || statuses.recv_timeout(Duration::from_secs(60)).unwrap();
+        let shed: Vec<u16> = (0..10).map(|_| next_status()).collect();
+        assert_eq!(shed, [429; 10]);
+        gate.wait_held();
+        gate.release();
+        let served: Vec<u16> = (0..2).map(|_| next_status()).collect();
+        assert_eq!(served, [200; 2]);
+        for client in clients {
+            client.join().unwrap();
+        }
         let metrics = server.shutdown();
-        assert_eq!(metrics.advise_ok + metrics.advise_rejected, 12);
-        // With 12 concurrent one-per-batch requests against 2 admission
-        // slots, overload must actually shed.
-        assert!(
-            metrics.advise_rejected > 0,
-            "admission control never fired: {metrics:?}"
-        );
+        assert_eq!(metrics.advise_rejected, 10);
+        assert_eq!(metrics.advise_ok, 2);
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! clients — every response must match a direct `Engine::advise` call
 //! bit-for-bit, and the scheduler must actually coalesce.
 
+mod gate;
+
 use pg_advisor::LaunchConfig;
 use pg_engine::{AdviseReport, AdviseRequest, Engine};
 use pg_gnn::{ModelRegistry, TrainConfig, TrainedModel};
@@ -11,7 +13,7 @@ use pg_serve::{BatchConfig, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const PLATFORM: Platform = Platform::SummitV100;
 
@@ -62,22 +64,21 @@ fn concurrent_gnn_serving_is_bit_identical_to_direct_advise_and_coalesces() {
     let registry = ModelRegistry::at(&dir);
     registry.publish(&bundle, PLATFORM).unwrap();
     let loaded = registry.load_platform(PLATFORM).unwrap();
+    // The gate holds the first served batch, so the other clients' requests
+    // queue behind it and coalesce however the threads are scheduled.
+    let (backend, gate) = gate::gated(loaded.into_backend());
 
     let engine = Arc::new(
         Engine::builder()
             .platform(PLATFORM)
-            .backend(loaded.into_backend())
+            .backend(backend)
             .build(),
     );
     let server = Server::start(
         Arc::clone(&engine),
         ServeConfig {
-            // A generous flush window so the coalescing we assert on
-            // cannot be lost to scheduler noise (each client gets its own
-            // connection thread, so all 32 are in the batcher together).
             batch: BatchConfig {
                 max_batch: 64,
-                max_wait: Duration::from_millis(50),
                 queue_depth: 256,
             },
             ..ServeConfig::default()
@@ -111,6 +112,7 @@ fn concurrent_gnn_serving_is_bit_identical_to_direct_advise_and_coalesces() {
     })
     .collect();
     assert!(pg_kernels_exist(&distinct, &engine));
+    gate.arm();
 
     let clients: Vec<_> = (0..32)
         .map(|i| {
@@ -122,6 +124,15 @@ fn concurrent_gnn_serving_is_bit_identical_to_direct_advise_and_coalesces() {
             })
         })
         .collect();
+    // Release once every client is admitted: the first batch is held, the
+    // other 31 requests are in the server behind it.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while server.metrics().in_flight < 32 {
+        assert!(Instant::now() < deadline, "clients never all admitted");
+        std::thread::yield_now();
+    }
+    gate.wait_held();
+    gate.release();
 
     let mut served = 0;
     for client in clients {

@@ -12,7 +12,7 @@
 //!     --model target/models/summit-v100-<hash>.bundle.json    # hot-load a GNN bundle
 //! cargo run --release --example serve -- --train-fast         # train a small GNN in-process
 //! cargo run --release --example serve -- --workers 8 --max-batch 512 \
-//!     --max-wait-ms 2 --max-connections 16384                 # event-loop sizing
+//!     --max-connections 16384                                 # event-loop sizing
 //! ```
 //!
 //! A round trip:
@@ -109,9 +109,6 @@ fn main() {
     if let Some(max_batch) = parsed_flag("--max-batch") {
         config.batch.max_batch = max_batch.max(1) as usize;
         config.batch.queue_depth = config.batch.queue_depth.max(config.batch.max_batch * 4);
-    }
-    if let Some(max_wait_ms) = parsed_flag("--max-wait-ms") {
-        config.batch.max_wait = Duration::from_millis(max_wait_ms);
     }
     if let Some(max_connections) = parsed_flag("--max-connections") {
         config.max_connections = max_connections.max(1) as usize;
