@@ -12,14 +12,12 @@
 //! * **engine GNN-backend sweep advise** — a launch-sweep `advise` through a
 //!   per-instance backend (the default rayon `predict_batch`) vs the batched
 //!   `GnnBackend::predict_batch` override;
-//! * **graph-size sweep** — one batched forward+backward at 1×/4×/16×
-//!   disjoint-union scale, per-edge push dispatch (`ForcePush`, the
-//!   edge-list-walk baseline) vs the density-dispatched sparse path, so the
-//!   asymptotic behaviour of CSR SpMM over edge-list walks is measured
-//!   rather than asserted.
+//! * **graph-size sweep** — one batched forward+backward of the sparse
+//!   message-passing path at 1×/4×/16× disjoint-union scale, so its scaling
+//!   with graph size is measured rather than asserted.
 //!
 //! Besides the criterion output, the comparisons are re-timed explicitly
-//! (median of several runs) and written to `BENCH_gnn.json` (schema 2) at
+//! (median of several runs) and written to `BENCH_gnn.json` (schema 3) at
 //! the repository root so future PRs have a trajectory to compare against.
 //! Set `PARAGRAPH_BENCH_SMOKE=1` for the CI smoke run: fewer repetitions and
 //! a reduced epoch body, same code paths, no JSON rewrite.
@@ -29,7 +27,7 @@ use pg_dataset::{collect_platform, DatasetScale, PipelineConfig};
 use pg_engine::{AdviseRequest, Engine, EngineError, PredictionContext, RuntimePredictor};
 use pg_gnn::{
     prepare, reference, train_prepared, BatchedGraph, GnnBackend, ModelConfig, ParaGraphModel,
-    PreparedDataset, PreparedGraph, SparseDispatch, TrainConfig, TrainedModel,
+    PreparedDataset, PreparedGraph, TrainConfig, TrainedModel,
 };
 use pg_perfsim::Platform;
 use pg_tensor::Tape;
@@ -163,25 +161,15 @@ fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// One forward+backward over the `batch_size` training batch under each
-/// RGAT dispatch mode, milliseconds.
-#[derive(Serialize)]
-struct DispatchModes {
-    push_ms: f64,
-    pull_ms: f64,
-    auto_ms: f64,
-}
-
 /// One graph-size sweep point: the training batch replicated `scale`× into
-/// a disjoint union, timed as per-edge push baseline vs the
-/// density-dispatched sparse path (one fwd+bwd each).
+/// a disjoint union, timed as one forward+backward.
 #[derive(Serialize)]
 struct SweepEntry {
     scale: usize,
     graphs: usize,
     nodes: usize,
     edges: usize,
-    forward_backward: Comparison,
+    forward_backward_ms: f64,
 }
 
 #[derive(Serialize)]
@@ -199,9 +187,7 @@ struct BenchReport {
     /// One launch-sweep advise through the GNN backend, milliseconds.
     sweep_advise: Comparison,
     sweep_candidates: usize,
-    /// Schema 2: per-dispatch-mode fwd+bwd timings on the training batch.
-    dispatch_modes: DispatchModes,
-    /// Schema 2: batched-sparse vs per-edge baseline across union scales.
+    /// Fwd+bwd of the sparse path across union scales.
     size_sweep: Vec<SweepEntry>,
 }
 
@@ -251,24 +237,6 @@ fn bench_forward_backward(c: &mut Criterion) {
             tape.backward(loss.unwrap());
         })
     });
-    for (name, dispatch) in [
-        ("gnn_forward_backward_push_x16", SparseDispatch::ForcePush),
-        ("gnn_forward_backward_pull_x16", SparseDispatch::ForcePull),
-    ] {
-        let mut mode_tape = Tape::new();
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                mode_tape.reset();
-                let (_, loss, _) = model.forward_batched_with_dispatch(
-                    &mut mode_tape,
-                    std::hint::black_box(&batch),
-                    Some(&targets),
-                    dispatch,
-                );
-                mode_tape.backward(loss.unwrap());
-            })
-        });
-    }
 }
 
 fn bench_sweep_advise(c: &mut Criterion) {
@@ -384,33 +352,8 @@ fn record_json(c: &mut Criterion) {
         },
     );
 
-    // Per-dispatch-mode fwd+bwd on the 1x training batch. Each mode gets its
-    // own tape so arena reuse inside one mode cannot subsidise another.
-    let mode_ms = |dispatch: SparseDispatch| {
-        let mut mode_tape = Tape::new();
-        let mut pass = || {
-            mode_tape.reset();
-            let (_, loss, _) = model.forward_batched_with_dispatch(
-                &mut mode_tape,
-                &batch,
-                Some(&targets),
-                dispatch,
-            );
-            mode_tape.backward(loss.unwrap());
-        };
-        pass(); // warm the arena so the timing sees steady-state reuse
-        median_secs(fb_reps, pass) * 1e3
-    };
-    let dispatch_modes = DispatchModes {
-        push_ms: mode_ms(SparseDispatch::ForcePush),
-        pull_ms: mode_ms(SparseDispatch::ForcePull),
-        auto_ms: mode_ms(SparseDispatch::Auto),
-    };
-
     // Graph-size sweep: replicate the training batch into 1x/4x/16x disjoint
-    // unions and time one fwd+bwd per dispatch strategy. ForcePush walks the
-    // per-edge gather/scatter path (the pre-CSR baseline shape); Auto is the
-    // shipping density dispatch.
+    // unions and time one fwd+bwd each.
     let mut size_sweep = Vec::new();
     for scale in [1usize, 4, 16] {
         let mut sweep_items: Vec<(&PreparedGraph, [f32; 2])> =
@@ -423,45 +366,28 @@ fn record_json(c: &mut Criterion) {
         let sweep_batch = BatchedGraph::build(&sweep_items);
         let edges: usize = sweep_batch.relations.iter().map(|r| r.len()).sum();
         let sweep_fb_reps = if smoke() { 1 } else { (fb_reps / scale).max(3) };
-        let mut push_tape = Tape::new();
-        let mut auto_tape = Tape::new();
-        let mut push_pass = || {
-            push_tape.reset();
-            let (_, loss, _) = model.forward_batched_with_dispatch(
-                &mut push_tape,
-                &sweep_batch,
-                Some(&sweep_targets),
-                SparseDispatch::ForcePush,
-            );
-            push_tape.backward(loss.unwrap());
+        let mut sweep_tape = Tape::new();
+        let mut pass = || {
+            sweep_tape.reset();
+            let (_, loss, _) =
+                model.forward_batched(&mut sweep_tape, &sweep_batch, Some(&sweep_targets));
+            sweep_tape.backward(loss.unwrap());
         };
-        let mut auto_pass = || {
-            auto_tape.reset();
-            let (_, loss, _) = model.forward_batched_with_dispatch(
-                &mut auto_tape,
-                &sweep_batch,
-                Some(&sweep_targets),
-                SparseDispatch::Auto,
-            );
-            auto_tape.backward(loss.unwrap());
-        };
-        // Warm both arenas: with few reps at the big scales, a cold first
+        // Warm the arena: with few reps at the big scales, a cold first
         // pass is dominated by allocation, not the kernels under test.
-        push_pass();
-        auto_pass();
-        let (per_edge, sparse) = interleaved_medians(sweep_fb_reps, push_pass, auto_pass);
+        pass();
         size_sweep.push(SweepEntry {
             scale,
             graphs: sweep_batch.batch_size(),
             nodes: sweep_batch.total_nodes(),
             edges,
-            forward_backward: Comparison::of(per_edge, sparse),
+            forward_backward_ms: median_secs(sweep_fb_reps, pass) * 1e3,
         });
     }
 
     let per_sample_count = indices.len().max(1) as f64;
     let report = BenchReport {
-        schema: 2,
+        schema: 3,
         platform: PLATFORM.name().to_string(),
         dataset_scale: "Fast".to_string(),
         samples: prepared.samples.len(),
@@ -474,7 +400,6 @@ fn record_json(c: &mut Criterion) {
         ),
         sweep_advise: Comparison::of(sweep_per_instance, sweep_batched),
         sweep_candidates: candidates,
-        dispatch_modes,
         size_sweep,
     };
     println!(
@@ -489,23 +414,10 @@ fn record_json(c: &mut Criterion) {
         report.sweep_advise.batched_ms,
         report.sweep_advise.speedup,
     );
-    println!(
-        "gnn dispatch (fwd+bwd x{} batch): push {:.2}ms, pull {:.2}ms, auto {:.2}ms",
-        config.batch_size,
-        report.dispatch_modes.push_ms,
-        report.dispatch_modes.pull_ms,
-        report.dispatch_modes.auto_ms,
-    );
     for entry in &report.size_sweep {
         println!(
-            "gnn size sweep x{} ({} graphs, {} nodes, {} edges): per-edge {:.2}ms -> sparse {:.2}ms ({:.2}x)",
-            entry.scale,
-            entry.graphs,
-            entry.nodes,
-            entry.edges,
-            entry.forward_backward.baseline_ms,
-            entry.forward_backward.batched_ms,
-            entry.forward_backward.speedup,
+            "gnn size sweep x{} ({} graphs, {} nodes, {} edges): fwd+bwd {:.2}ms",
+            entry.scale, entry.graphs, entry.nodes, entry.edges, entry.forward_backward_ms,
         );
     }
     if smoke() {

@@ -12,7 +12,7 @@
 //! Generation is sharded and resumable: work is partitioned into
 //! deterministic per-kernel [shards](shard) measured through a shared
 //! [`pg_engine::Engine`], and completed shards persist in the
-//! content-addressed [store](store) under `target/paragraph-cache/shards`,
+//! content-addressed [store] under `target/paragraph-cache/shards`,
 //! so interrupted or repeated runs resume instead of recompute. See
 //! [`pipeline::generate_platform`] for the run summary (shard-store hits,
 //! frontend-cache activity) and `DESIGN.md` § "Dataset generation".

@@ -5,7 +5,7 @@
 //! per-kernel [shards](crate::shard) that fan out across threads, route
 //! measurement through a shared [`pg_engine::Engine`] (one frontend cache
 //! per process, not one parse per instance), and persist completed shards
-//! in the [`ShardStore`](crate::store::ShardStore) so interrupted or
+//! in the [`ShardStore`] so interrupted or
 //! repeated runs resume instead of recompute. The merge is a stable sort
 //! over a total per-point key plus the seeded subsample applied at plan
 //! time, so the output is bit-identical to the pre-shard pipeline (kept as

@@ -135,7 +135,7 @@ fn model_signature() -> u64 {
 
 impl Shard {
     /// Content hash over the shard's identity, every instance in it, and
-    /// the behavioural [`model_signature`] of the label function.
+    /// the behavioural `model_signature` of the label function.
     pub fn content_hash(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         fnv1a(&mut h, &SHARD_FORMAT_VERSION.to_le_bytes());

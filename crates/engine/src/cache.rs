@@ -4,8 +4,8 @@
 //! Two layers are cached independently, because backends consume different
 //! artifacts: parsed ASTs (keyed by source) feed the simulator and
 //! COMPOFF backends, and relational graphs (keyed by source plus the
-//! [`BuilderConfig`]-relevant fields: representation and launch) feed the
-//! GNN backend. Keys own the full source text, so distinct kernels can
+//! [`BuilderConfig`](paragraph_core::BuilderConfig)-relevant fields:
+//! representation and launch) feed the GNN backend. Keys own the full source text, so distinct kernels can
 //! never alias a cache entry. Entries are shared via `Arc`, so cache hits are pointer
 //! copies. Hit/miss counters are atomic; engine-lifetime totals live on the
 //! cache, and per-request deltas ([`RequestCounters`]) surface in every

@@ -124,8 +124,8 @@ impl EngineBuilder {
     }
 
     /// Entries per frontend-cache layer (default
-    /// [`DEFAULT_CACHE_CAPACITY`]). Ignored when a [`shared_cache`]
-    /// (`EngineBuilder::shared_cache`) is supplied.
+    /// [`DEFAULT_CACHE_CAPACITY`]). Ignored when a
+    /// [`shared_cache`](EngineBuilder::shared_cache) is supplied.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
         self

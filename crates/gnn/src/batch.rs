@@ -15,48 +15,41 @@
 //!
 //! [`PreparedGraph`] is the once-per-sample conversion of a
 //! [`RelationalGraph`]: the feature matrix is flattened, edge index lists
-//! are interned as `Arc<[usize]>` (recording them on the autograd tape is a
-//! refcount bump, not a copy) and the attention priors are materialised as a
-//! column matrix. Training converts every sample once in `prepare`; the old
-//! path re-cloned every edge list on every forward pass of every epoch.
+//! are interned as `Arc<[usize]>`, each relation's CSR pattern (with its
+//! source list) is built, and the attention priors are materialised as a
+//! column matrix in CSR order. Recording any of it on the autograd tape is
+//! a refcount bump, not a copy. Training converts every sample once in
+//! `prepare`; the old path re-cloned every edge list on every forward pass
+//! of every epoch.
 
 use paragraph_core::RelationalGraph;
 use pg_tensor::{Matrix, SparseMatrix};
 use std::sync::Arc;
 
-/// A relation's edges as a shared CSR pattern over the graph's node set
-/// (rows = destinations, cols = sources), with the attention priors
-/// permuted into CSR order once at build time. This is everything the
-/// pull-mode (SpMM) dispatch branch records on the tape.
-#[derive(Debug, Clone)]
-pub struct CsrRelation {
-    /// Shared CSR adjacency; `Arc` so recording it on a tape op is a
-    /// refcount bump.
-    pub adj: Arc<SparseMatrix>,
-    /// Attention priors in CSR order (`E x 1`).
-    pub priors_csr: Matrix,
-}
-
-/// One relation's edges, ready for the tape: shared index slices plus the
-/// attention priors as an `E x 1` column (its buffer doubles as the prior
-/// slice for the segment softmax), and a CSR encoding of the same edges
-/// for pull-mode dispatch. Built once per prepared graph / batch via
-/// [`PreparedRelation::new`].
+/// One relation's edges, ready for the tape: the edge list in its original
+/// order (what batching concatenates), plus its CSR pattern over the
+/// graph's node set (rows = destinations, columns compressed to the
+/// relation's distinct sources) with the attention priors permuted into CSR
+/// order. The RGAT layer records only the CSR half. Built once per prepared
+/// graph / batch via [`PreparedRelation::new`].
 #[derive(Debug, Clone)]
 pub struct PreparedRelation {
     /// Source node per edge.
     pub src: Arc<[usize]>,
-    /// Destination node per edge (also the softmax segment id).
+    /// Destination node per edge.
     pub dst: Arc<[usize]>,
     /// Attention priors per edge (`E x 1`).
     pub priors: Matrix,
-    /// CSR view of the same edges (kept consistent with `src`/`dst` by
-    /// construction, hence not public).
-    csr: CsrRelation,
+    /// CSR pattern of the same edges (kept consistent with `src`/`dst` by
+    /// construction, hence not public); `Arc` so recording it on a tape op
+    /// is a refcount bump.
+    adj: Arc<SparseMatrix>,
+    /// Attention priors in CSR order (`E x 1`).
+    priors_csr: Matrix,
 }
 
 impl PreparedRelation {
-    /// Intern a relation's edge list and build its CSR encoding over a
+    /// Intern a relation's edge list and build its CSR pattern over a
     /// `node_count`-node graph. `priors` is the `E x 1` prior column in
     /// edge-list order; its CSR permutation is materialised here so the
     /// hot path never chases the permutation.
@@ -67,7 +60,8 @@ impl PreparedRelation {
             src,
             dst,
             priors,
-            csr: CsrRelation { adj, priors_csr },
+            adj,
+            priors_csr,
         }
     }
 
@@ -81,9 +75,15 @@ impl PreparedRelation {
         self.src.is_empty()
     }
 
-    /// The CSR encoding of this relation's edges.
-    pub fn csr(&self) -> &CsrRelation {
-        &self.csr
+    /// The CSR pattern of this relation's edges; its
+    /// [`SparseMatrix::sources`] are the nodes that send a message.
+    pub fn adj(&self) -> &Arc<SparseMatrix> {
+        &self.adj
+    }
+
+    /// Attention priors in CSR order (`E x 1`).
+    pub fn priors_csr(&self) -> &Matrix {
+        &self.priors_csr
     }
 }
 
@@ -336,18 +336,23 @@ mod tests {
         let (a, b) = two_graphs();
         let batch = BatchedGraph::build(&[(&a, [0.1, 0.2]), (&b, [0.3, 0.4])]);
         for rel in &batch.relations {
-            let csr = rel.csr();
-            assert_eq!(csr.adj.nnz(), rel.len());
-            assert_eq!(csr.adj.rows(), batch.total_nodes());
-            assert_eq!(csr.adj.cols(), batch.total_nodes());
-            assert_eq!(csr.priors_csr.shape(), (rel.len(), 1));
+            let adj = rel.adj();
+            assert_eq!(adj.nnz(), rel.len());
+            assert_eq!(adj.rows(), batch.total_nodes());
+            assert_eq!(adj.cols(), batch.total_nodes());
+            assert_eq!(rel.priors_csr().shape(), (rel.len(), 1));
             // Every CSR position maps back to its original edge, priors
             // permuted alongside.
-            for (pos, (s, d)) in csr.adj.to_edge_list().into_iter().enumerate() {
-                let e = csr.adj.perm()[pos];
+            for (pos, (s, d)) in adj.to_edge_list().into_iter().enumerate() {
+                let e = adj.perm()[pos];
                 assert_eq!((s, d), (rel.src[e], rel.dst[e]));
-                assert_eq!(csr.priors_csr.get(pos, 0), rel.priors.get(e, 0));
+                assert_eq!(rel.priors_csr().get(pos, 0), rel.priors.get(e, 0));
             }
+            // The source list is the relation's distinct senders, ascending.
+            let mut senders = rel.src.to_vec();
+            senders.sort_unstable();
+            senders.dedup();
+            assert_eq!(adj.sources().as_ref(), senders.as_slice());
         }
     }
 }

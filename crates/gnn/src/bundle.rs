@@ -73,7 +73,7 @@ impl TrainedModel {
 
     /// Predict the runtimes (ms) of a whole candidate set in batched forward
     /// passes: the graphs are joined into disjoint unions of up to
-    /// [`PREDICT_BATCH`] members and driven through one tape per chunk, so
+    /// `PREDICT_BATCH` (64) members and driven through one tape per chunk, so
     /// parameters are registered once per chunk instead of once per
     /// candidate. Results are ordered like the input and match
     /// [`TrainedModel::predict_relational`] to float precision.

@@ -21,14 +21,14 @@ pub mod rgat;
 pub mod train;
 
 pub use backend::GnnBackend;
-pub use batch::{BatchedGraph, CsrRelation, PreparedGraph, PreparedRelation};
+pub use batch::{BatchedGraph, PreparedGraph, PreparedRelation};
 pub use bundle::TrainedModel;
 pub use metrics::{binned_relative_error, per_application_error, per_variant_error, BinError};
 pub use model::{GraphSample, ModelConfig, ParaGraphModel};
 pub use registry::{
     load_bundle, save_bundle, BundleError, LoadedBundle, ModelRegistry, BUNDLE_FORMAT_VERSION,
 };
-pub use rgat::{RgatLayer, SparseDispatch};
+pub use rgat::RgatLayer;
 pub use train::{
     evaluate, prepare, summarize, train, train_prepared, EpochStats, PredictionRecord,
     PreparedDataset, SampleMeta, TrainConfig, TrainError, TrainedOutcome, TrainingHistory,

@@ -3,7 +3,7 @@
 //! lists re-cloned out of the [`RelationalGraph`] on every call, concat-based
 //! attention logits, a clone-heavy backward walk, the pre-blocking `ikj`
 //! matmul kernel, and rayon fan-out over mini-batches with hand-averaged
-//! gradients. The private [`legacy`] sub-module vendors the original tape
+//! gradients. The private `legacy` sub-module vendors the original tape
 //! implementation so this baseline keeps paying the original costs even as
 //! `pg_tensor::Tape` evolves.
 //!

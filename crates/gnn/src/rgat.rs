@@ -15,41 +15,6 @@ use std::sync::Arc;
 /// Negative slope of the LeakyReLU applied to attention logits (GAT default).
 pub const ATTENTION_LEAKY_SLOPE: f32 = 0.2;
 
-/// Per-relation execution mode for [`RgatLayer::forward_with_dispatch`].
-///
-/// Message passing has two duals: **push** walks the edge list and
-/// scatter-adds each source's scaled message into its destination row;
-/// **pull** iterates destination rows of the relation's CSR pattern and
-/// accumulates incoming messages as a sparse × dense product (SpMM). The
-/// math is row-identical — the CSR build is stable by destination, so each
-/// output row sums the same contributions in the same order — but the cost
-/// profiles differ: pull projects every node once and never materialises a
-/// per-edge feature matrix, which wins when the relation is dense relative
-/// to the node set; push touches only rows incident to an edge, which wins
-/// when edges are scarce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SparseDispatch {
-    /// Pick per relation by density: pull when `2E >= N`, push otherwise.
-    #[default]
-    Auto,
-    /// Always push (per-edge iteration), regardless of density.
-    ForcePush,
-    /// Always pull (CSR SpMM), regardless of density.
-    ForcePull,
-}
-
-impl SparseDispatch {
-    /// Resolve the mode for one relation with `edges` edges over
-    /// `node_count` nodes.
-    fn pull(self, edges: usize, node_count: usize) -> bool {
-        match self {
-            SparseDispatch::Auto => 2 * edges >= node_count,
-            SparseDispatch::ForcePush => false,
-            SparseDispatch::ForcePull => true,
-        }
-    }
-}
-
 /// One RGAT convolution layer.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct RgatLayer {
@@ -131,35 +96,28 @@ impl RgatLayer {
     ///   disjoint-union batch; the layer does not care — shifted indices and
     ///   per-destination softmax segments batch transparently).
     ///
-    /// The interned `Arc` index slices are recorded on the tape by refcount,
-    /// so a forward pass copies no edge list.
+    /// The interned `Arc` patterns and index slices are recorded on the tape
+    /// by refcount, so a forward pass copies no edge list.
     ///
     /// # Kernel structure
     ///
     /// The attention logit `leakyrelu(a^T [W h_src | W h_dst])` decomposes
-    /// into `leakyrelu(a_src^T (W h_src) + a_dst^T (W h_dst))`, so instead of
-    /// materialising the `E x 2H` concatenation the layer computes two
-    /// per-edge scalar columns and adds them (the standard GAT
-    /// factorisation). Each relation then executes in one of two modes
-    /// (chosen by density under [`SparseDispatch::Auto`]):
+    /// into `leakyrelu(h_src (W a_src) + h_dst (W a_dst))`, so the layer
+    /// precontracts `p = W a_src` and `q = W a_dst` (`F_in x 1` each) and
+    /// never materialises the `E x 2H` concatenation (the standard GAT
+    /// factorisation). Every relation then runs the same sparse chain over
+    /// its CSR pattern:
     ///
-    /// * **pull / SpMM** (`2E >= N`, e.g. the Child tree): project every
-    ///   node once (`proj = H W`), compute the logits with a fused
-    ///   SDDMM-style op directly over the relation's CSR pattern, softmax
-    ///   over contiguous CSR row extents, and aggregate as the sparse ×
-    ///   dense product `agg += A(scale) · proj`. No per-edge feature matrix
-    ///   is ever materialised, and backward pulls through the pattern's
-    ///   transpose view instead of scattering;
-    /// * **push / edge iteration** (`2E < N`): project only the gathered
-    ///   source rows, fold the destination projection into the attention
-    ///   vector (`(h_dst W) a_dst = h_dst (W a_dst)`, an `F x 1`
-    ///   precontraction), and aggregate with the fused per-edge
-    ///   `edge_scale_scatter` — only rows incident to an edge are touched.
-    ///
-    /// Both modes accumulate each destination row in the same order (the
-    /// CSR build is stable by destination), so switching modes never
-    /// changes which floats are added — only the association inside the
-    /// logit dot products differs, within float tolerance.
+    /// 1. SDDMM logits `h_src · p + h_dst · q`, computed only for stored
+    ///    entries, reading source rows through the pattern's source list;
+    /// 2. leaky ReLU, softmax over contiguous CSR row extents, then the
+    ///    prior scale;
+    /// 3. project only the relation's distinct sources,
+    ///    `gather(h, sources) W` — nodes that send no message on this
+    ///    relation are never projected for it;
+    /// 4. aggregate as the sparse × dense product `agg += A(scale) · proj`.
+    ///    Backward pulls through the pattern's transpose view instead of
+    ///    scattering.
     ///
     /// Returns the new node representations (`N x F_out`).
     pub fn forward(
@@ -169,21 +127,6 @@ impl RgatLayer {
         params: &[Var],
         relations: &[PreparedRelation],
         node_count: usize,
-    ) -> Var {
-        self.forward_with_dispatch(tape, h, params, relations, node_count, SparseDispatch::Auto)
-    }
-
-    /// [`RgatLayer::forward`] with an explicit push/pull override — the
-    /// density heuristic is the only thing `dispatch` changes; outputs agree
-    /// across modes to float tolerance (see the golden equivalence suite).
-    pub fn forward_with_dispatch(
-        &self,
-        tape: &mut Tape,
-        h: Var,
-        params: &[Var],
-        relations: &[PreparedRelation],
-        node_count: usize,
-        dispatch: SparseDispatch,
     ) -> Var {
         assert_eq!(
             params.len(),
@@ -209,59 +152,26 @@ impl RgatLayer {
             if rel.is_empty() {
                 continue;
             }
-            let e = rel.len();
+            let adj = rel.adj();
+            debug_assert_eq!(adj.rows(), node_count, "CSR/node-count mismatch");
             let w = w_rel[rel_idx];
             let a_src = tape.slice_rows(a_rel[rel_idx], 0, out_dim);
             let a_dst = tape.slice_rows(a_rel[rel_idx], out_dim, 2 * out_dim);
-
-            if dispatch.pull(e, node_count) {
-                // Pull: SpMM against the relation's CSR pattern. Everything
-                // per-edge lives in CSR order (logits, softmax, priors), so
-                // the aggregation is one sparse × dense product.
-                let csr = rel.csr();
-                debug_assert_eq!(csr.adj.rows(), node_count, "CSR/node-count mismatch");
-                let proj = tape.matmul(h, w);
-                let raw_logits = tape.sddmm_edge_logits(proj, a_src, a_dst, &csr.adj);
-                let logits = tape.leaky_relu(raw_logits, ATTENTION_LEAKY_SLOPE);
-                let alpha =
-                    tape.csr_segment_softmax(logits, csr.adj.row_ptr(), csr.priors_csr.as_slice());
-                // The edge priors (log-compressed ParaGraph weights) scale
-                // the messages *in addition* to steering the attention —
-                // Child edges form a tree, so with one incoming edge per
-                // destination the softmax alone would normalise the weight
-                // information away entirely.
-                let prior_col = tape.leaf_copy_no_grad(&csr.priors_csr);
-                let scale = tape.hadamard(alpha, prior_col);
-                agg = tape.spmm_csr(proj, scale, Some(agg), &csr.adj);
-            } else {
-                // Push: project gathered sources; precontract W with the
-                // destination attention half so the destination side costs
-                // one E x F gather and an E x F dot; aggregate with the
-                // fused per-edge scatter (no E x F_out intermediates).
-                let hs = tape.gather_rows_shared(h, Arc::clone(&rel.src));
-                let ms = tape.matmul(hs, w);
-                let s_src = tape.matmul(ms, a_src);
-                let w_a_dst = tape.matmul(w, a_dst);
-                let hd = tape.gather_rows_shared(h, Arc::clone(&rel.dst));
-                let s_dst = tape.matmul(hd, w_a_dst);
-                let raw_logits = tape.add(s_src, s_dst);
-                let logits = tape.leaky_relu(raw_logits, ATTENTION_LEAKY_SLOPE);
-                let alpha = tape.segment_softmax_shared(
-                    logits,
-                    Arc::clone(&rel.dst),
-                    rel.priors.as_slice(),
-                );
-                let prior_col = tape.leaf_copy_no_grad(&rel.priors);
-                let scale = tape.hadamard(alpha, prior_col);
-                agg = tape.edge_scale_scatter(
-                    ms,
-                    scale,
-                    Some(agg),
-                    None,
-                    Arc::clone(&rel.dst),
-                    node_count,
-                );
-            }
+            let p = tape.matmul(w, a_src);
+            let q = tape.matmul(w, a_dst);
+            let raw_logits = tape.sddmm_edge_logits(h, p, q, adj);
+            let logits = tape.leaky_relu(raw_logits, ATTENTION_LEAKY_SLOPE);
+            let alpha = tape.csr_segment_softmax(logits, adj, rel.priors_csr().as_slice());
+            // The edge priors (log-compressed ParaGraph weights) scale the
+            // messages *in addition* to steering the attention — Child
+            // edges form a tree, so with one incoming edge per destination
+            // the softmax alone would normalise the weight information
+            // away entirely.
+            let prior_col = tape.leaf_copy_no_grad(rel.priors_csr());
+            let scale = tape.hadamard(alpha, prior_col);
+            let senders = tape.gather_rows_shared(h, Arc::clone(adj.sources()));
+            let proj = tape.matmul(senders, w);
+            agg = tape.spmm_csr(proj, scale, Some(agg), adj);
         }
 
         let with_bias = tape.add_row_broadcast(agg, bias);
@@ -406,49 +316,6 @@ mod tests {
         );
         // Node features must also receive gradient.
         assert!(tape.grad(h).frobenius_norm() > 0.0);
-    }
-
-    #[test]
-    fn push_and_pull_dispatch_agree_and_gradients_flow_both_ways() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let layer = RgatLayer::new(&mut rng, 3, 6, 4);
-        let h0 = Matrix::from_fn(4, 6, |r, c| ((r * 6 + c) as f32).sin() * 0.4);
-        let run = |dispatch: SparseDispatch| -> (Matrix, f32) {
-            let mut tape = Tape::new();
-            let h = tape.leaf(h0.clone());
-            let params: Vec<Var> = layer
-                .parameters()
-                .iter()
-                .map(|p| tape.leaf((*p).clone()))
-                .collect();
-            let out = layer.forward_with_dispatch(
-                &mut tape,
-                h,
-                &params,
-                &simple_relations(),
-                4,
-                dispatch,
-            );
-            let pooled = tape.mean_rows(out);
-            let loss = tape.mse_loss(pooled, &[0.5; 4]);
-            tape.backward(loss);
-            let grad_norm: f32 = params.iter().map(|&p| tape.grad(p).frobenius_norm()).sum();
-            (tape.value(out).clone(), grad_norm)
-        };
-        let (push_out, push_grads) = run(SparseDispatch::ForcePush);
-        let (pull_out, pull_grads) = run(SparseDispatch::ForcePull);
-        let (auto_out, _) = run(SparseDispatch::Auto);
-        assert!(
-            push_out.approx_eq(&pull_out, 1e-5),
-            "push/pull dispatch diverged by {}",
-            push_out.max_abs_diff(&pull_out)
-        );
-        assert!(auto_out.approx_eq(&push_out, 1e-5));
-        assert!(push_grads > 0.0 && pull_grads > 0.0);
-        assert!(
-            (push_grads - pull_grads).abs() <= 1e-4 * push_grads.max(1.0),
-            "gradient magnitudes diverged across dispatch: {push_grads} vs {pull_grads}"
-        );
     }
 
     #[test]

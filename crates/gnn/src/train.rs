@@ -271,7 +271,7 @@ fn batch_of(prepared: &PreparedDataset, indices: &[usize]) -> BatchedGraph {
 const EVAL_BATCH: usize = 64;
 
 /// Evaluate a model on a set of samples, returning per-sample predictions in
-/// milliseconds. Batched: chunks of [`EVAL_BATCH`] graphs go through one
+/// milliseconds. Batched: chunks of `EVAL_BATCH` (64) graphs go through one
 /// forward pass each on a single reused tape.
 pub fn evaluate(
     model: &ParaGraphModel,

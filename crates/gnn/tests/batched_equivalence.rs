@@ -9,7 +9,7 @@
 use pg_dataset::{collect_platform, DatasetScale, PipelineConfig, PlatformDataset};
 use pg_gnn::{
     evaluate, prepare, reference, train_prepared, BatchedGraph, GnnBackend, ModelConfig,
-    ParaGraphModel, PreparedGraph, SparseDispatch, TrainConfig, TrainedModel,
+    ParaGraphModel, PreparedGraph, TrainConfig, TrainedModel,
 };
 use pg_perfsim::Platform;
 use pg_tensor::{Matrix, Tape};
@@ -120,109 +120,6 @@ fn batched_gradients_match_mean_of_per_sample_gradients() {
             diff <= TOLERANCE,
             "gradient {key} diverged by {diff} (per-sample mean vs batched)"
         );
-    }
-}
-
-#[test]
-fn sparse_dispatch_predictions_match_per_sample_in_every_mode() {
-    // The density heuristic must be a pure performance knob: forcing every
-    // relation down the push branch or the pull (CSR SpMM) branch has to
-    // reproduce the per-sample reference on the same fixtures as the Auto
-    // path. This covers each branch regardless of what densities the
-    // dataset happens to produce.
-    let ds = tiny_dataset();
-    let prepared = prepare(&ds, paragraph_core::Representation::ParaGraph, 7);
-    let model = ParaGraphModel::new(ModelConfig::tiny(), 7);
-
-    let reference: Vec<f32> = prepared
-        .samples
-        .iter()
-        .map(|s| reference::predict_graph(&model, &s.graph, s.side))
-        .collect();
-
-    for dispatch in [
-        SparseDispatch::Auto,
-        SparseDispatch::ForcePush,
-        SparseDispatch::ForcePull,
-    ] {
-        let mut tape = Tape::new();
-        let mut batched = Vec::with_capacity(prepared.samples.len());
-        for chunk in prepared.prepared.chunks(17) {
-            let offset = batched.len();
-            let items: Vec<(&PreparedGraph, [f32; 2])> = chunk
-                .iter()
-                .enumerate()
-                .map(|(i, graph)| (graph, prepared.samples[offset + i].side))
-                .collect();
-            let batch = BatchedGraph::build(&items);
-            batched.extend(model.predict_batched_with_dispatch(&mut tape, &batch, dispatch));
-        }
-        assert_eq!(reference.len(), batched.len());
-        for (i, (r, b)) in reference.iter().zip(batched.iter()).enumerate() {
-            assert!(
-                (r - b).abs() <= TOLERANCE,
-                "{dispatch:?} sample {i}: per-sample {r} vs batched {b}"
-            );
-        }
-    }
-}
-
-#[test]
-fn sparse_dispatch_gradients_match_per_sample_in_every_mode() {
-    let ds = tiny_dataset();
-    let prepared = prepare(&ds, paragraph_core::Representation::ParaGraph, 11);
-    let model = ParaGraphModel::new(ModelConfig::tiny(), 11);
-    let batch_indices: Vec<usize> = prepared.train_idx.iter().copied().take(12).collect();
-    assert!(batch_indices.len() >= 4, "need a real batch to compare");
-
-    let mut mean_loss = 0.0f32;
-    let mut mean_grads: Vec<Matrix> = model
-        .parameters()
-        .iter()
-        .map(|p| Matrix::zeros(p.rows(), p.cols()))
-        .collect();
-    for &i in &batch_indices {
-        let (loss, grads) = reference::loss_and_gradients(&model, &prepared.samples[i]);
-        mean_loss += loss;
-        for (acc, g) in mean_grads.iter_mut().zip(grads.iter()) {
-            acc.add_assign(g);
-        }
-    }
-    let scale = 1.0 / batch_indices.len() as f32;
-    mean_loss *= scale;
-    for g in &mut mean_grads {
-        *g = g.scale(scale);
-    }
-
-    let items: Vec<(&PreparedGraph, [f32; 2])> = batch_indices
-        .iter()
-        .map(|&i| (&prepared.prepared[i], prepared.samples[i].side))
-        .collect();
-    let targets: Vec<f32> = batch_indices
-        .iter()
-        .map(|&i| prepared.samples[i].target)
-        .collect();
-    let batch = BatchedGraph::build(&items);
-
-    for dispatch in [SparseDispatch::ForcePush, SparseDispatch::ForcePull] {
-        let mut tape = Tape::new();
-        let (_, loss, param_vars) =
-            model.forward_batched_with_dispatch(&mut tape, &batch, Some(&targets), dispatch);
-        let loss = loss.unwrap();
-        tape.backward(loss);
-        assert!(
-            (tape.value(loss).get(0, 0) - mean_loss).abs() <= TOLERANCE,
-            "{dispatch:?}: batch-mean loss {} vs mean of per-sample losses {mean_loss}",
-            tape.value(loss).get(0, 0)
-        );
-        for (key, (reference, var)) in mean_grads.iter().zip(param_vars.iter()).enumerate() {
-            let batched = tape.grad(*var);
-            let diff = reference.max_abs_diff(&batched);
-            assert!(
-                diff <= TOLERANCE,
-                "{dispatch:?}: gradient {key} diverged by {diff}"
-            );
-        }
     }
 }
 

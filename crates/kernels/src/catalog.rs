@@ -4,7 +4,7 @@
 //! parameterised C source template: `{{PRAGMA}}` marks the spot where the
 //! OpenMP directive of a variant is inserted and `{{NAME}}` placeholders are
 //! replaced by concrete problem sizes. Templates are written in the C subset
-//! accepted by [`pg_frontend`].
+//! accepted by `pg_frontend`.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;

@@ -1,6 +1,6 @@
 //! Roofline-style analytical execution model.
 //!
-//! Given a [`KernelCost`](crate::cost::KernelCost), a launch configuration and
+//! Given a [`KernelCost`], a launch configuration and
 //! an accelerator specification, the model predicts the kernel's runtime as
 //! the maximum of its compute time and its memory time, plus parallel
 //! runtime overheads (fork/join or kernel launch) and — for the `_mem`

@@ -13,10 +13,10 @@
 //!   pinned byte-for-byte against it (see the `incremental` tests);
 //! * [`IncrementalParser`] — the event loop's *non-blocking* state
 //!   machine: bytes are [`fed`](IncrementalParser::feed) in whatever
-//!   fragments the socket produces, and [`next_request`]
-//!   (IncrementalParser::next_request) yields complete requests as they
-//!   materialise, tolerating splits at any byte boundary and pipelined
-//!   requests sharing one buffer.
+//!   fragments the socket produces, and
+//!   [`next_request`](IncrementalParser::next_request) yields complete
+//!   requests as they materialise, tolerating splits at any byte boundary
+//!   and pipelined requests sharing one buffer.
 
 use std::io::{BufRead, Write};
 
@@ -229,10 +229,10 @@ enum IncrementalState {
 /// machine of the event loop.
 ///
 /// Feed it whatever the socket produced — single bytes, half a header,
-/// three pipelined requests — and poll [`next_request`]
-/// (IncrementalParser::next_request). Limits (line length, header count,
-/// body cap) and error classification are identical to [`read_request`],
-/// which the unit tests treat as the specification.
+/// three pipelined requests — and poll
+/// [`next_request`](IncrementalParser::next_request). Limits (line length,
+/// header count, body cap) and error classification are identical to
+/// [`read_request`], which the unit tests treat as the specification.
 pub struct IncrementalParser {
     buf: Vec<u8>,
     /// Offset of the first unconsumed byte in `buf`.

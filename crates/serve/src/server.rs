@@ -2,7 +2,7 @@
 //! admission control and graceful drain.
 //!
 //! Threading model: **one event thread** owns the listener and every
-//! connection socket, multiplexed over epoll (see [`crate::event`] and
+//! connection socket, multiplexed over epoll (see the `event` module and
 //! [`crate::poll`]); a **fixed pool** of [`ServeConfig::workers`] threads
 //! executes parsed requests; the micro-batcher's scheduler thread turns
 //! concurrent `/advise` work into few engine calls. Connection count and

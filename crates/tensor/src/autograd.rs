@@ -102,26 +102,11 @@ enum Op {
     SumAll(usize),
     /// Mean squared error against a constant target, producing `1 x 1`.
     MseLoss { pred: usize, target: Arc<[f32]> },
-    /// Fused per-edge message aggregation:
-    /// `out = base; out[dst[e]] += s[e] * A[src[e]]` (with `src = e` when
-    /// absent, and `base = 0` when absent). Collapses the gather →
-    /// column-scale → scatter-add → running-sum chain of a message-passing
-    /// layer into one pass over the edges, so neither the `E x F` gathered
-    /// and scaled intermediates nor a separate per-relation aggregate are
-    /// materialised.
-    EdgeScaleScatter {
-        a: usize,
-        s: usize,
-        base: Option<usize>,
-        src: Option<Arc<[usize]>>,
-        dst: Arc<[usize]>,
-    },
     /// Sparse × dense product `out = base + A(s) · a` against a shared CSR
-    /// pattern, with `s` the `nnz x 1` value column in CSR order (and
-    /// `base = 0` when absent). The pull-mode dual of `EdgeScaleScatter`:
-    /// same per-edge math, but iteration is per destination row, and the
-    /// backward pass pulls through the pattern's transpose view instead of
-    /// scattering.
+    /// pattern, with `s` the `nnz x 1` value column in CSR order, `a` one
+    /// row per listed source of the pattern (and `base = 0` when absent).
+    /// Iteration is per destination row, and the backward pass pulls
+    /// through the pattern's transpose view instead of scattering.
     SpmmCsr {
         a: usize,
         s: usize,
@@ -129,9 +114,10 @@ enum Op {
         adj: Arc<SparseMatrix>,
     },
     /// Fused SDDMM-style attention logits over a CSR pattern:
-    /// `out[pos] = x[col(pos)] · p + x[row(pos)] · q`, an `nnz x 1` column
-    /// in CSR order. Sampled dense-dense matmul: only the entries the
-    /// pattern stores are computed, so no `E x F` gather is materialised.
+    /// `out[pos] = x[src(pos)] · p + x[row(pos)] · q`, an `nnz x 1` column
+    /// in CSR order, where `src(pos) = sources[col_idx[pos]]`. Sampled
+    /// dense-dense matmul: only the entries the pattern stores are
+    /// computed, so no `E x F` gather is materialised.
     SddmmEdgeLogits {
         x: usize,
         p: usize,
@@ -140,11 +126,11 @@ enum Op {
     },
     /// Segment softmax over contiguous CSR row extents with constant
     /// multiplicative priors (the CSR sibling of `SegmentSoftmax`: segments
-    /// are `row_ptr[d]..row_ptr[d+1]` extents, so backward needs no
+    /// are the pattern's non-empty row extents, so backward needs no
     /// segment-id scratch).
     CsrSegmentSoftmax {
         logits: usize,
-        row_ptr: Arc<[usize]>,
+        adj: Arc<SparseMatrix>,
     },
 }
 
@@ -187,7 +173,6 @@ fn op_parents(op: &Op) -> [Option<usize>; 3] {
         Op::SegmentSoftmax { logits, .. } => [Some(*logits), None, None],
         Op::SegmentMeanRows { a, .. } => [Some(*a), None, None],
         Op::MseLoss { pred, .. } => [Some(*pred), None, None],
-        Op::EdgeScaleScatter { a, s, base, .. } => [Some(*a), Some(*s), *base],
         Op::SpmmCsr { a, s, base, .. } => [Some(*a), Some(*s), *base],
         Op::SddmmEdgeLogits { x, p, q, .. } => [Some(*x), Some(*p), Some(*q)],
         Op::CsrSegmentSoftmax { logits, .. } => [Some(*logits), None, None],
@@ -477,22 +462,12 @@ impl Tape {
 
     /// Scatter-add rows of `a` into an `out_rows x cols` matrix.
     pub fn scatter_add_rows(&mut self, a: Var, indices: &[usize], out_rows: usize) -> Var {
-        self.scatter_add_rows_shared(a, Arc::from(indices), out_rows)
-    }
-
-    /// [`Tape::scatter_add_rows`] with a shared index slice.
-    pub fn scatter_add_rows_shared(
-        &mut self,
-        a: Var,
-        indices: Arc<[usize]>,
-        out_rows: usize,
-    ) -> Var {
         self.push_with(
-            Op::ScatterAddRows(a.0, Arc::clone(&indices), out_rows),
+            Op::ScatterAddRows(a.0, Arc::from(indices), out_rows),
             |prev, out| {
                 let va = &prev[a.0].value;
                 out.reset_to_zeros(out_rows, va.cols());
-                va.scatter_add_rows_acc_into(&indices, out);
+                va.scatter_add_rows_acc_into(indices, out);
             },
         )
     }
@@ -505,20 +480,10 @@ impl Tape {
     /// edge weight). The result is an `E x 1` column of attention
     /// coefficients that sum to one within each segment.
     pub fn segment_softmax(&mut self, logits: Var, segments: &[usize], priors: &[f32]) -> Var {
-        self.segment_softmax_shared(logits, Arc::from(segments), priors)
-    }
-
-    /// [`Tape::segment_softmax`] with a shared segment slice.
-    pub fn segment_softmax_shared(
-        &mut self,
-        logits: Var,
-        segments: Arc<[usize]>,
-        priors: &[f32],
-    ) -> Var {
         let seg_count = segments.iter().copied().max().map_or(0, |m| m + 1);
         let op = Op::SegmentSoftmax {
             logits: logits.0,
-            segments: Arc::clone(&segments),
+            segments: Arc::from(segments),
             seg_count,
         };
         self.push_with(op, |prev, out| {
@@ -530,7 +495,7 @@ impl Tape {
                 "one segment id per logit required"
             );
             assert_eq!(l.rows(), priors.len(), "one prior per logit required");
-            segment_softmax_into(l, &segments, priors, seg_count, out);
+            segment_softmax_into(l, segments, priors, seg_count, out);
         })
     }
 
@@ -606,74 +571,17 @@ impl Tape {
         })
     }
 
-    /// Fused per-edge message aggregation into an `out_rows x cols` matrix:
-    /// `out = base` (zeros when `base` is `None`), then
-    /// `out[dst[e]] += s[e] * a[src[e]]`, or `out[dst[e]] += s[e] * a[e]`
-    /// when `src` is `None` (rows of `a` already in edge order). `s` must be
-    /// an `E x 1` column. Equivalent to `add(base, scatter_add_rows(
-    /// mul_col_broadcast(gather_rows(a, src), s), dst))` — same edge
-    /// accumulation order, one pass, no intermediates.
-    pub fn edge_scale_scatter(
-        &mut self,
-        a: Var,
-        s: Var,
-        base: Option<Var>,
-        src: Option<Arc<[usize]>>,
-        dst: Arc<[usize]>,
-        out_rows: usize,
-    ) -> Var {
-        assert_ne!(a.0, s.0, "messages and scales must be distinct nodes");
-        if let Some(base) = base {
-            assert_ne!(base.0, a.0, "base must be distinct from the messages");
-            assert_ne!(base.0, s.0, "base must be distinct from the scales");
-        }
-        let op = Op::EdgeScaleScatter {
-            a: a.0,
-            s: s.0,
-            base: base.map(|b| b.0),
-            src: src.clone(),
-            dst: Arc::clone(&dst),
-        };
-        self.push_with(op, |prev, out| {
-            let va = &prev[a.0].value;
-            let vs = &prev[s.0].value;
-            assert_eq!(vs.cols(), 1, "edge scales must be an E x 1 column");
-            assert_eq!(vs.rows(), dst.len(), "one scale per edge required");
-            if let Some(src) = &src {
-                assert_eq!(src.len(), dst.len(), "one source per edge required");
-            } else {
-                assert_eq!(va.rows(), dst.len(), "one row per edge required");
-            }
-            match base {
-                Some(b) => {
-                    let vb = &prev[b.0].value;
-                    assert_eq!(vb.shape(), (out_rows, va.cols()), "base shape mismatch");
-                    out.copy_from(vb);
-                }
-                None => out.reset_to_zeros(out_rows, va.cols()),
-            }
-            for (e, &d) in dst.iter().enumerate() {
-                let row = match &src {
-                    Some(src) => va.row(src[e]),
-                    None => va.row(e),
-                };
-                let scale = vs.get(e, 0);
-                for (o, &v) in out.row_mut(d).iter_mut().zip(row) {
-                    *o += scale * v;
-                }
-            }
-        })
-    }
-
     /// Sparse × dense aggregation `out = base + A(s) · a` against a shared
     /// CSR pattern (`base = 0` when absent): destination row `d` accumulates
-    /// `s[pos] * a[col(pos)]` over its row extent. `s` must be the pattern's
-    /// `nnz x 1` value column *in CSR order* (permute per-edge data once with
-    /// [`SparseMatrix::permute_to_csr`]).
+    /// `s[pos] * a[col_idx(pos)]` over its row extent. `a` holds one row per
+    /// listed source of the pattern ([`SparseMatrix::sources`]; gather them
+    /// from a node matrix with [`Tape::gather_rows_shared`]), and `s` must
+    /// be the pattern's `nnz x 1` value column *in CSR order* (permute
+    /// per-edge data once with [`SparseMatrix::permute_to_csr`]).
     ///
-    /// Pull-mode equivalent of [`Tape::edge_scale_scatter`]: the CSR build is
-    /// stable by destination, so each output row adds the same contributions
-    /// in the same order and the two ops agree bit for bit. Backward pulls
+    /// The CSR build is stable by destination, so each output row adds the
+    /// same contributions in the same order as the gather → column-scale →
+    /// scatter-add chain, and agrees with it bit for bit. Backward pulls
     /// `dA/da = Aᵀ·g` through the transpose view — sequential per-source
     /// accumulation instead of a scatter.
     pub fn spmm_csr(&mut self, a: Var, s: Var, base: Option<Var>, adj: &Arc<SparseMatrix>) -> Var {
@@ -696,11 +604,13 @@ impl Tape {
     }
 
     /// Fused SDDMM-style per-edge attention logits over a CSR pattern:
-    /// `out[pos] = x[col(pos)] · p + x[row(pos)] · q`, an `nnz x 1` column in
-    /// CSR order. `p` and `q` are `F x 1` contraction vectors (in ParaGraph:
-    /// `W·a_src` and `W·a_dst` precontracted once per relation). Only the
-    /// stored entries are computed — no `E x F` gathered intermediate, and
-    /// the per-destination term `x[d] · q` is hoisted out of each row extent.
+    /// `out[pos] = x[src(pos)] · p + x[row(pos)] · q`, an `nnz x 1` column in
+    /// CSR order. `x` holds one row per node; source rows are read through
+    /// the pattern's source list, `src(pos) = sources[col_idx[pos]]`. `p`
+    /// and `q` are `F x 1` contraction vectors (in ParaGraph: `W·a_src` and
+    /// `W·a_dst` precontracted once per relation). Only the stored entries
+    /// are computed — no `E x F` gathered intermediate, and the
+    /// per-destination term `x[d] · q` is hoisted out of each row extent.
     pub fn sddmm_edge_logits(&mut self, x: Var, p: Var, q: Var, adj: &Arc<SparseMatrix>) -> Var {
         assert_ne!(x.0, p.0, "features and contraction vectors must differ");
         assert_ne!(x.0, q.0, "features and contraction vectors must differ");
@@ -720,56 +630,44 @@ impl Tape {
             assert_eq!(vx.rows(), adj.rows(), "one feature row per destination");
             assert_eq!(vp.shape(), (vx.cols(), 1), "p must be an F x 1 column");
             assert_eq!(vq.shape(), (vx.cols(), 1), "q must be an F x 1 column");
-            let (row_ptr, col_idx) = (adj.row_ptr(), adj.col_idx());
+            let (row_ptr, col_idx, sources) = (adj.row_ptr(), adj.col_idx(), adj.sources());
             out.resize_for_overwrite(adj.nnz(), 1);
-            for d in 0..adj.rows() {
+            for &d in adj.nonempty_rows().iter() {
                 let (lo, hi) = (row_ptr[d], row_ptr[d + 1]);
-                if lo == hi {
-                    continue;
-                }
                 let dst_term = dot(vx.row(d), vq.as_slice());
                 for pos in lo..hi {
-                    let v = dot(vx.row(col_idx[pos]), vp.as_slice()) + dst_term;
+                    let v = dot(vx.row(sources[col_idx[pos]]), vp.as_slice()) + dst_term;
                     out.set(pos, 0, v);
                 }
             }
         })
     }
 
-    /// [`Tape::segment_softmax`] re-expressed over CSR row extents: segment
-    /// `d` is the contiguous positions `row_ptr[d]..row_ptr[d+1]`, and
-    /// `priors` is the constant prior column already in CSR order. Contiguous
-    /// segments need no per-segment scratch in either direction.
+    /// [`Tape::segment_softmax`] re-expressed over the row extents of a CSR
+    /// pattern: segment `d` is the contiguous positions
+    /// `row_ptr[d]..row_ptr[d+1]`, `logits` is the pattern's `nnz x 1`
+    /// column and `priors` the constant prior column, both in CSR order.
+    /// Contiguous segments need no per-segment scratch in either direction.
     pub fn csr_segment_softmax(
         &mut self,
         logits: Var,
-        row_ptr: &Arc<[usize]>,
+        adj: &Arc<SparseMatrix>,
         priors: &[f32],
     ) -> Var {
         let op = Op::CsrSegmentSoftmax {
             logits: logits.0,
-            row_ptr: Arc::clone(row_ptr),
+            adj: Arc::clone(adj),
         };
-        let row_ptr = Arc::clone(row_ptr);
+        let adj = Arc::clone(adj);
         self.push_with(op, move |prev, out| {
             let l = &prev[logits.0].value;
             assert_eq!(l.cols(), 1, "csr_segment_softmax expects an E x 1 column");
-            assert!(!row_ptr.is_empty(), "row_ptr needs at least one boundary");
-            assert_eq!(row_ptr[0], 0, "row_ptr must start at 0");
-            assert_eq!(
-                *row_ptr.last().unwrap(),
-                l.rows(),
-                "row_ptr must end at the logit count"
-            );
+            assert_eq!(l.rows(), adj.nnz(), "one logit per stored entry required");
             assert_eq!(l.rows(), priors.len(), "one prior per logit required");
-            let e = l.rows();
-            out.resize_for_overwrite(e, 1);
-            for d in 0..row_ptr.len() - 1 {
+            let row_ptr = adj.row_ptr();
+            out.resize_for_overwrite(l.rows(), 1);
+            for &d in adj.nonempty_rows().iter() {
                 let (lo, hi) = (row_ptr[d], row_ptr[d + 1]);
-                assert!(lo <= hi, "row_ptr must be non-decreasing");
-                if lo == hi {
-                    continue;
-                }
                 // Per-row max subtraction, as in `segment_softmax_into`.
                 let mut m = f32::NEG_INFINITY;
                 for pos in lo..hi {
@@ -1297,69 +1195,10 @@ impl Tape {
                         *d += gv;
                     }
                 }
-                Op::EdgeScaleScatter {
-                    a,
-                    s,
-                    base,
-                    src,
-                    dst,
-                } => {
-                    if let Some(b) = base {
-                        acc_grad(parents, *b, g);
-                    }
-                    let (a, s) = (*a, *s);
-                    let (na, ns) = two_mut(parents, a, s);
-                    let want_ds = ns.requires_grad;
-                    if want_ds {
-                        ensure_grad(ns);
-                    }
-                    let want_da = na.requires_grad;
-                    if want_da {
-                        if let Some(src) = src {
-                            // Arbitrary sources may repeat: scatter-accumulate.
-                            ensure_grad(na);
-                            for (e, (&sr, &d)) in src.iter().zip(dst.iter()).enumerate() {
-                                let scale = ns.value.get(e, 0);
-                                for (o, &gv) in na.grad.row_mut(sr).iter_mut().zip(g.row(d)) {
-                                    *o += scale * gv;
-                                }
-                            }
-                        } else {
-                            // Edge-ordered rows are written exactly once.
-                            let first = !na.has_grad;
-                            if first {
-                                let (rows, cols) = na.value.shape();
-                                na.grad.resize_for_overwrite(rows, cols);
-                                na.has_grad = true;
-                            }
-                            for (e, &d) in dst.iter().enumerate() {
-                                let scale = ns.value.get(e, 0);
-                                if first {
-                                    for (o, &gv) in na.grad.row_mut(e).iter_mut().zip(g.row(d)) {
-                                        *o = scale * gv;
-                                    }
-                                } else {
-                                    for (o, &gv) in na.grad.row_mut(e).iter_mut().zip(g.row(d)) {
-                                        *o += scale * gv;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if want_ds {
-                        for (e, &d) in dst.iter().enumerate() {
-                            let row = match src {
-                                Some(src) => na.value.row(src[e]),
-                                None => na.value.row(e),
-                            };
-                            let dot: f32 = g.row(d).iter().zip(row).map(|(&gv, &av)| gv * av).sum();
-                            ns.grad.set(e, 0, ns.grad.get(e, 0) + dot);
-                        }
-                    }
-                }
                 Op::SpmmCsr { a, s, base, adj } => {
                     // out[d] = base[d] + Σ_pos s[pos] * a[col(pos)]
-                    // d base = g;  d a = Aᵀ(s) · g  (pulled via the
+                    // (col(pos) indexes the listed sources, one row of `a`
+                    // each); d base = g;  d a = Aᵀ(s) · g  (pulled via the
                     // transpose view — per-source, deterministic);
                     // d s[pos] = g[row(pos)] · a[col(pos)].
                     if let Some(b) = base {
@@ -1377,7 +1216,7 @@ impl Tape {
                     }
                     if want_ds {
                         let (row_ptr, col_idx) = (adj.row_ptr(), adj.col_idx());
-                        for d in 0..adj.rows() {
+                        for &d in adj.nonempty_rows().iter() {
                             let gr = g.row(d);
                             for pos in row_ptr[d]..row_ptr[d + 1] {
                                 let dv = dot(gr, na.value.row(col_idx[pos]));
@@ -1387,11 +1226,11 @@ impl Tape {
                     }
                 }
                 Op::SddmmEdgeLogits { x, p, q, adj } => {
-                    // out[pos] = x[col(pos)] · p + x[row(pos)] · q
-                    // d x[col(pos)] += g[pos] pᵀ;  d x[row(pos)] += g[pos] qᵀ;
-                    // d p += Σ g[pos] x[col(pos)]ᵀ;  d q += Σ g[pos] x[row(pos)]ᵀ.
+                    // out[pos] = x[src(pos)] · p + x[row(pos)] · q
+                    // d x[src(pos)] += g[pos] pᵀ;  d x[row(pos)] += g[pos] qᵀ;
+                    // d p += Σ g[pos] x[src(pos)]ᵀ;  d q += Σ g[pos] x[row(pos)]ᵀ.
                     let (x, p, q) = (*x, *p, *q);
-                    let (row_ptr, col_idx) = (adj.row_ptr(), adj.col_idx());
+                    let (row_ptr, col_idx, sources) = (adj.row_ptr(), adj.col_idx(), adj.sources());
                     if parents[x].requires_grad {
                         // Stage p and q in scratch so x's gradient can be
                         // mutated without aliasing its sibling parents.
@@ -1402,11 +1241,11 @@ impl Tape {
                         let (pv, qv) = scratch.split_at(f);
                         let nx = &mut parents[x];
                         ensure_grad(nx);
-                        for d in 0..adj.rows() {
-                            let (lo, hi) = (row_ptr[d], row_ptr[d + 1]);
-                            for pos in lo..hi {
+                        for &d in adj.nonempty_rows().iter() {
+                            for pos in row_ptr[d]..row_ptr[d + 1] {
                                 let gv = g.get(pos, 0);
-                                for (o, &vv) in nx.grad.row_mut(col_idx[pos]).iter_mut().zip(pv) {
+                                let src_row = nx.grad.row_mut(sources[col_idx[pos]]);
+                                for (o, &vv) in src_row.iter_mut().zip(pv) {
                                     *o += gv * vv;
                                 }
                                 for (o, &vv) in nx.grad.row_mut(d).iter_mut().zip(qv) {
@@ -1418,23 +1257,18 @@ impl Tape {
                     if parents[p].requires_grad {
                         let (np, nx) = two_mut(parents, p, x);
                         ensure_grad(np);
-                        for d in 0..adj.rows() {
-                            for pos in row_ptr[d]..row_ptr[d + 1] {
-                                let gv = g.get(pos, 0);
-                                for (fi, &xv) in nx.value.row(col_idx[pos]).iter().enumerate() {
-                                    np.grad.set(fi, 0, np.grad.get(fi, 0) + gv * xv);
-                                }
+                        for (pos, &c) in col_idx.iter().enumerate() {
+                            let gv = g.get(pos, 0);
+                            for (fi, &xv) in nx.value.row(sources[c]).iter().enumerate() {
+                                np.grad.set(fi, 0, np.grad.get(fi, 0) + gv * xv);
                             }
                         }
                     }
                     if parents[q].requires_grad {
                         let (nq, nx) = two_mut(parents, q, x);
                         ensure_grad(nq);
-                        for d in 0..adj.rows() {
+                        for &d in adj.nonempty_rows().iter() {
                             let (lo, hi) = (row_ptr[d], row_ptr[d + 1]);
-                            if lo == hi {
-                                continue;
-                            }
                             // Row d's q-term is shared by its whole extent.
                             let gsum: f32 = (lo..hi).map(|pos| g.get(pos, 0)).sum();
                             for (fi, &xv) in nx.value.row(d).iter().enumerate() {
@@ -1443,7 +1277,7 @@ impl Tape {
                         }
                     }
                 }
-                Op::CsrSegmentSoftmax { logits, row_ptr } => {
+                Op::CsrSegmentSoftmax { logits, adj } => {
                     // Same rule as SegmentSoftmax — dL/dl = alpha ⊙ (g -
                     // sum_seg(g ⊙ alpha)) — but segments are contiguous row
                     // extents, so the per-segment dot needs no scratch.
@@ -1453,7 +1287,8 @@ impl Tape {
                     let alpha = &node.value;
                     let nl = &mut parents[*logits];
                     ensure_grad(nl);
-                    for d in 0..row_ptr.len() - 1 {
+                    let row_ptr = adj.row_ptr();
+                    for &d in adj.nonempty_rows().iter() {
                         let (lo, hi) = (row_ptr[d], row_ptr[d + 1]);
                         let mut dv = 0.0f32;
                         for pos in lo..hi {
@@ -1811,84 +1646,31 @@ mod tests {
     }
 
     #[test]
-    fn edge_scale_scatter_matches_unfused_chain_and_gradients() {
-        let a0 = input(5, 3, 71);
-        let s0 = input(6, 1, 72);
-        let src: Arc<[usize]> = Arc::from(vec![0usize, 1, 2, 2, 4, 0]);
-        let dst: Arc<[usize]> = Arc::from(vec![1usize, 0, 1, 3, 2, 3]);
-
-        // Fused result equals gather -> mul_col -> scatter bit for bit.
-        let mut t = Tape::new();
-        let va = t.leaf(a0.clone());
-        let vs = t.leaf(s0.clone());
-        let fused = t.edge_scale_scatter(va, vs, None, Some(Arc::clone(&src)), Arc::clone(&dst), 5);
-        let gathered = t.gather_rows_shared(va, Arc::clone(&src));
-        let scaled = t.mul_col_broadcast(gathered, vs);
-        let unfused = t.scatter_add_rows_shared(scaled, Arc::clone(&dst), 5);
-        assert!(t.value(fused).approx_eq(t.value(unfused), 0.0));
-
-        // Gradients for both inputs match finite differences (src given).
-        let run = |a: &Matrix, s: &Matrix| -> (f32, Matrix, Matrix) {
-            let mut t = Tape::new();
-            let va = t.leaf(a.clone());
-            let vs = t.leaf(s.clone());
-            let out =
-                t.edge_scale_scatter(va, vs, None, Some(Arc::clone(&src)), Arc::clone(&dst), 5);
-            let act = t.tanh(out);
-            let l = t.sum_all(act);
-            t.backward(l);
-            (t.value(l).get(0, 0), t.grad(va), t.grad(vs))
-        };
-        let (_, ga, gs) = run(&a0, &s0);
-        check_gradient(&a0, &ga, |a| run(a, &s0).0, 2e-2);
-        check_gradient(&s0, &gs, |s| run(&a0, s).0, 2e-2);
-
-        // Edge-ordered variant (no src): rows of `a` are the edges.
-        let a_edges = input(6, 3, 73);
-        let run_id = |a: &Matrix, s: &Matrix| -> (f32, Matrix, Matrix) {
-            let mut t = Tape::new();
-            let va = t.leaf(a.clone());
-            let vs = t.leaf(s.clone());
-            let out = t.edge_scale_scatter(va, vs, None, None, Arc::clone(&dst), 5);
-            let act = t.sigmoid(out);
-            let l = t.sum_all(act);
-            t.backward(l);
-            (t.value(l).get(0, 0), t.grad(va), t.grad(vs))
-        };
-        let (_, ga, gs) = run_id(&a_edges, &s0);
-        check_gradient(&a_edges, &ga, |a| run_id(a, &s0).0, 2e-2);
-        check_gradient(&s0, &gs, |s| run_id(&a_edges, s).0, 2e-2);
-    }
-
-    #[test]
-    fn spmm_csr_matches_edge_scale_scatter_bit_for_bit_and_gradients() {
+    fn spmm_csr_matches_gather_scale_scatter_chain_bit_for_bit_and_gradients() {
         let a0 = input(5, 3, 81);
         let s_edge = input(6, 1, 82);
         let base0 = input(5, 3, 83);
+        // Node 3 sends nothing: the pattern lists sources 0, 1, 2 and 4.
         let src = vec![0usize, 1, 2, 2, 4, 0];
         let dst = vec![1usize, 0, 1, 3, 2, 3];
         let adj = Arc::new(SparseMatrix::from_edges(5, 5, &src, &dst));
+        assert_eq!(adj.sources().as_ref(), &[0, 1, 2, 4]);
         let s_csr = Matrix::col_vector(&adj.permute_to_csr(s_edge.as_slice()));
 
-        // Stable-by-destination CSR order means the pull-mode product adds
-        // each output row's contributions in the push path's order — the
-        // results must agree bit for bit, not just within tolerance.
+        // Stable-by-destination CSR order means the product over the
+        // gathered source rows adds each output row's contributions in the
+        // edge-list chain's order — the results must agree bit for bit, not
+        // just within tolerance.
         let mut t = Tape::new();
         let va = t.leaf(a0.clone());
-        let vb = t.leaf(base0.clone());
-        let vs_push = t.leaf(s_edge.clone());
-        let push = t.edge_scale_scatter(
-            va,
-            vs_push,
-            Some(vb),
-            Some(Arc::from(&src[..])),
-            Arc::from(&dst[..]),
-            5,
-        );
-        let vb2 = t.leaf(base0.clone());
-        let vs_pull = t.leaf(s_csr.clone());
-        let pull = t.spmm_csr(va, vs_pull, Some(vb2), &adj);
-        assert!(t.value(push).approx_eq(t.value(pull), 0.0));
+        let vs_edge = t.leaf(s_edge.clone());
+        let gathered = t.gather_rows(va, &src);
+        let scaled = t.mul_col_broadcast(gathered, vs_edge);
+        let chain = t.scatter_add_rows(scaled, &dst, 5);
+        let va_src = t.gather_rows_shared(va, Arc::clone(adj.sources()));
+        let vs_csr = t.leaf(s_csr.clone());
+        let fused = t.spmm_csr(va_src, vs_csr, None, &adj);
+        assert!(t.value(fused).approx_eq(t.value(chain), 0.0));
 
         // Gradients for all three operands match finite differences.
         let run = |a: &Matrix, s: &Matrix, b: &Matrix| -> (f32, Matrix, Matrix, Matrix) {
@@ -1902,10 +1684,11 @@ mod tests {
             t.backward(l);
             (t.value(l).get(0, 0), t.grad(va), t.grad(vs), t.grad(vb))
         };
-        let (_, ga, gs, gb) = run(&a0, &s_csr, &base0);
-        check_gradient(&a0, &ga, |a| run(a, &s_csr, &base0).0, 2e-2);
-        check_gradient(&s_csr, &gs, |s| run(&a0, s, &base0).0, 2e-2);
-        check_gradient(&base0, &gb, |b| run(&a0, &s_csr, b).0, 2e-2);
+        let a_src0 = a0.gather_rows(adj.sources());
+        let (_, ga, gs, gb) = run(&a_src0, &s_csr, &base0);
+        check_gradient(&a_src0, &ga, |a| run(a, &s_csr, &base0).0, 2e-2);
+        check_gradient(&s_csr, &gs, |s| run(&a_src0, s, &base0).0, 2e-2);
+        check_gradient(&base0, &gb, |b| run(&a_src0, &s_csr, b).0, 2e-2);
     }
 
     #[test]
@@ -1913,9 +1696,13 @@ mod tests {
         let x0 = input(5, 4, 91);
         let p0 = input(4, 1, 92).scale(0.6);
         let q0 = input(4, 1, 93).scale(0.6);
-        let src = vec![0usize, 1, 3, 2, 4, 4];
+        // Nodes 0 and 2 send nothing, so list index and node id differ for
+        // every source and the source rows are only reachable through the
+        // pattern's source list.
+        let src = vec![1usize, 3, 4, 3, 4, 1];
         let dst = vec![2usize, 2, 0, 4, 1, 2];
         let adj = Arc::new(SparseMatrix::from_edges(5, 5, &src, &dst));
+        assert_eq!(adj.sources().as_ref(), &[1, 3, 4]);
 
         // Fused logits equal the unfused project-then-gather chain on the
         // same edges (in CSR order).
@@ -1970,14 +1757,14 @@ mod tests {
         let csr_dst: Vec<usize> = adj.to_edge_list().iter().map(|&(_, d)| d).collect();
         let mut t = Tape::new();
         let vl = t.leaf(logits_csr.clone());
-        let by_extent = t.csr_segment_softmax(vl, adj.row_ptr(), &priors_csr);
+        let by_extent = t.csr_segment_softmax(vl, &adj, &priors_csr);
         let by_segment = t.segment_softmax(vl, &csr_dst, &priors_csr);
         assert!(t.value(by_extent).approx_eq(t.value(by_segment), 1e-7));
 
         let run = |l: &Matrix| -> (f32, Matrix) {
             let mut t = Tape::new();
             let vl = t.leaf(l.clone());
-            let alpha = t.csr_segment_softmax(vl, adj.row_ptr(), &priors_csr);
+            let alpha = t.csr_segment_softmax(vl, &adj, &priors_csr);
             let act = t.tanh(alpha);
             let s = t.sum_all(act);
             let loss = t.mse_loss(s, &[0.3]);
@@ -1993,7 +1780,8 @@ mod tests {
         // Iteration 1 fills every output row with large values; after a
         // reset, iteration 2 reuses the same slot buffers for a graph where
         // node 2 has no incoming edges. Its aggregation row must be zero
-        // (or exactly the base), never iteration 1's stale contents.
+        // (or exactly the base), never iteration 1's stale contents. The
+        // messages are one row per listed source (nodes 0..=2 here).
         let mut t = Tape::new();
         let x = Matrix::filled(4, 3, 100.0);
         let ones = Matrix::filled(4, 1, 1.0);
@@ -2007,7 +1795,7 @@ mod tests {
         t.reset();
         // Node 2 is isolated now (zero in-edges); nodes 0, 1, 3 still get one.
         let sparse = Arc::new(SparseMatrix::from_edges(4, 4, &[1, 2, 0], &[0, 1, 3]));
-        let small = Matrix::filled(4, 3, 0.5);
+        let small = Matrix::filled(3, 3, 0.5);
         let scale3 = Matrix::filled(3, 1, 1.0);
         let va = t.leaf_copy(&small);
         let vs = t.leaf_copy(&scale3);

@@ -333,11 +333,11 @@ impl Matrix {
     /// Kernel selection:
     ///
     /// * tiny products run the plain accumulating `ikj` loop;
-    /// * narrow outputs (`n <` [`MATMUL_NARROW_N`], e.g. attention-score
+    /// * narrow outputs (`n < MATMUL_NARROW_N`, e.g. attention-score
     ///   `* x 1` products) pack `other` transposed once so the inner loop is
     ///   a dot product over two contiguous slices;
     /// * everything else runs the cache-blocked, register-tiled `ikj` kernel
-    ///   ([`matmul_row_tiled`]): fixed-width column tiles accumulate in
+    ///   (`matmul_row_tiled`): fixed-width column tiles accumulate in
     ///   registers, zero rows of `A` are skipped (one-hot GNN features), and
     ///   per-element summation order matches the naive kernel bit for bit.
     ///

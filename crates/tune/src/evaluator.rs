@@ -6,7 +6,7 @@
 //!
 //! * deduplicates against everything already evaluated (memoized points
 //!   never re-spend budget),
-//! * truncates the frontier so neither [`Budget`](crate::Budget) bound can
+//! * truncates the frontier so neither [`Budget`] bound can
 //!   be exceeded,
 //! * scores the whole frontier with **one** [`Engine::advise_many`] call
 //!   (one coalesced backend `predict_batch` per generation),

@@ -1,23 +1,52 @@
 //! Integration tests of the unified prediction engine: all three backends
-//! serve the same request shape, the simulator backend reproduces the legacy
-//! `rank_variants_by_simulation` output exactly, and repeated requests hit
+//! serve the same request shape, the noise-free simulator backend reproduces
+//! direct `perfsim::measure` runtimes bit for bit, and repeated requests hit
 //! the frontend cache.
 
-use paragraph::advisor::LaunchConfig;
+use paragraph::advisor::{instantiate, LaunchConfig, Variant};
 use paragraph::compoff;
 use paragraph::compoff::CompoffBackend;
 use paragraph::dataset::{collect_platform, DatasetScale, PipelineConfig};
 use paragraph::engine::{AdviseRequest, Engine, SimulatorBackend};
 use paragraph::gnn::GnnBackend;
 use paragraph::gnn::{TrainConfig, TrainedModel};
-use paragraph::kernels::find_kernel;
-use paragraph::perfsim::Platform;
+use paragraph::kernels::{find_kernel, KernelTemplate};
+use paragraph::perfsim::{measure, NoiseModel, Platform};
 
 const PLATFORM: Platform = Platform::SummitV100;
 const LAUNCH: LaunchConfig = LaunchConfig {
     teams: 80,
     threads: 128,
 };
+
+/// Every applicable variant of `kernel` on `platform` at its default sizes,
+/// instantiated from the template argument itself (never re-resolved from
+/// the catalogue) and ranked fastest-first through
+/// `Engine::predict_instances` on a noise-free simulator engine.
+fn simulator_ranking(
+    kernel: &KernelTemplate,
+    platform: Platform,
+    launch: LaunchConfig,
+) -> Vec<(Variant, f64)> {
+    let engine = Engine::builder()
+        .platform(platform)
+        .backend(SimulatorBackend::noise_free())
+        .build();
+    let sizes = kernel.default_sizes();
+    let instances: Vec<_> = Variant::applicable_variants(kernel)
+        .into_iter()
+        .filter(|v| v.is_gpu() == platform.is_gpu())
+        .map(|variant| instantiate(kernel, variant, &sizes, launch))
+        .collect();
+    let mut ranked: Vec<(Variant, f64)> = engine
+        .predict_instances(&instances)
+        .into_iter()
+        .zip(&instances)
+        .map(|(prediction, instance)| (instance.variant, prediction.unwrap()))
+        .collect();
+    ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+    ranked
+}
 
 fn fast_dataset() -> paragraph::dataset::PlatformDataset {
     collect_platform(
@@ -90,39 +119,63 @@ fn all_three_backends_rank_the_same_kernel() {
     assert_eq!(backends_seen, vec!["simulator", "gnn", "compoff"]);
 }
 
-/// The engine-backed `rank_variants_by_simulation` shim reproduces the
-/// legacy free-function output exactly — same variants, same order, same
-/// floating-point runtimes.
+/// The noise-free simulator backend reproduces the pre-engine ranking
+/// exactly — same variants, same order, same floating-point runtimes as
+/// measuring each instance with `perfsim::measure` — on GPU and CPU
+/// platforms alike.
 #[test]
-#[allow(deprecated)]
 fn simulator_backend_matches_legacy_ranking_exactly() {
-    for kernel_name in ["MM/matmul", "MV/matvec", "Laplace/copy"] {
+    let cpu_launch = LaunchConfig {
+        teams: 1,
+        threads: 16,
+    };
+    for (kernel_name, platform, launch) in [
+        ("MM/matmul", PLATFORM, LAUNCH),
+        ("MV/matvec", PLATFORM, LAUNCH),
+        ("Laplace/copy", PLATFORM, LAUNCH),
+        ("MV/matvec", Platform::CoronaEpyc7401, cpu_launch),
+    ] {
         let kernel = find_kernel(kernel_name).unwrap();
         let sizes = kernel.default_sizes();
 
-        // The legacy implementation, reproduced inline from the pre-engine
-        // umbrella crate (this is the byte-for-byte behaviour contract).
-        let noise = paragraph::perfsim::NoiseModel::disabled();
-        let mut legacy: Vec<(paragraph::advisor::Variant, f64)> =
-            paragraph::advisor::Variant::applicable_variants(&kernel)
-                .into_iter()
-                .filter(|v| v.is_gpu() == PLATFORM.is_gpu())
-                .filter_map(|variant| {
-                    let instance =
-                        paragraph::advisor::instantiate(&kernel, variant, &sizes, LAUNCH);
-                    paragraph::perfsim::measure(&instance, PLATFORM, &noise)
-                        .ok()
-                        .map(|m| (variant, m.runtime_ms))
-                })
-                .collect();
+        // The pre-engine implementation, reproduced inline (this is the
+        // byte-for-byte behaviour contract).
+        let noise = NoiseModel::disabled();
+        let mut legacy: Vec<(Variant, f64)> = Variant::applicable_variants(&kernel)
+            .into_iter()
+            .filter(|v| v.is_gpu() == platform.is_gpu())
+            .filter_map(|variant| {
+                let instance = instantiate(&kernel, variant, &sizes, launch);
+                measure(&instance, platform, &noise)
+                    .ok()
+                    .map(|m| (variant, m.runtime_ms))
+            })
+            .collect();
         legacy.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
 
-        let shimmed = paragraph::rank_variants_by_simulation(&kernel, &sizes, PLATFORM, LAUNCH);
+        let ranked = simulator_ranking(&kernel, platform, launch);
         assert_eq!(
-            legacy, shimmed,
-            "{kernel_name}: engine-backed shim must reproduce the legacy ranking bit-for-bit"
+            legacy, ranked,
+            "{kernel_name}: the engine must reproduce the legacy ranking bit-for-bit"
         );
+        assert!(ranked.windows(2).all(|w| w[0].1 <= w[1].1));
+        assert!(ranked.iter().all(|(v, _)| v.is_gpu() == platform.is_gpu()));
     }
+
+    let mm = find_kernel("MM/matmul").unwrap();
+    assert_eq!(
+        simulator_ranking(&mm, PLATFORM, LAUNCH).len(),
+        4,
+        "four GPU variants for a collapsible kernel"
+    );
+    let mv = find_kernel("MV/matvec").unwrap();
+    let ranked = simulator_ranking(&mv, Platform::CoronaEpyc7401, cpu_launch);
+    assert_eq!(
+        ranked.len(),
+        1,
+        "matvec is not collapsible: only the plain cpu variant"
+    );
+    assert!(!ranked[0].0.is_gpu());
 }
 
 /// A second identical request is served from the graph/AST cache: no
@@ -214,30 +267,27 @@ fn mismatched_backend_platform_is_refused() {
     );
 }
 
-/// The deprecated shim honours the template it is handed — including
-/// templates that are not in the catalogue — because candidates are
-/// instantiated from the argument, not re-resolved by name.
+/// The engine ranks templates that are not in the catalogue — candidates are
+/// instantiated from the template itself, never re-resolved by name — with
+/// the runtimes of measuring them directly.
 #[test]
-#[allow(deprecated)]
-fn legacy_shim_ranks_custom_templates() {
+fn simulator_backend_ranks_custom_templates() {
     let base = find_kernel("MV/matvec").unwrap();
-    let custom = paragraph::kernels::KernelTemplate {
+    let custom = KernelTemplate {
         application: "Custom",
         kernel: "not_in_catalog",
         ..base
     };
-    let ranked =
-        paragraph::rank_variants_by_simulation(&custom, &custom.default_sizes(), PLATFORM, LAUNCH);
+    let ranked = simulator_ranking(&custom, PLATFORM, LAUNCH);
     assert!(
         !ranked.is_empty(),
-        "a custom template must rank through the shim, not vanish"
+        "a custom template must rank through the engine, not vanish"
     );
     // And the numbers match measuring the custom template directly.
-    let noise = paragraph::perfsim::NoiseModel::disabled();
+    let noise = NoiseModel::disabled();
     for (variant, predicted_ms) in &ranked {
-        let instance =
-            paragraph::advisor::instantiate(&custom, *variant, &custom.default_sizes(), LAUNCH);
-        let measured = paragraph::perfsim::measure(&instance, PLATFORM, &noise).unwrap();
+        let instance = instantiate(&custom, *variant, &custom.default_sizes(), LAUNCH);
+        let measured = measure(&instance, PLATFORM, &noise).unwrap();
         assert_eq!(*predicted_ms, measured.runtime_ms);
     }
 }
