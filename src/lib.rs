@@ -72,3 +72,74 @@ pub use pg_tune as tune;
 
 /// Dense matrices, reverse-mode autodiff, Adam, scalers, metrics.
 pub use pg_tensor as tensor;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every applicable variant of `kernel` on `platform` at its default
+    /// sizes, ranked fastest-first by a noise-free simulator engine.
+    fn rank_variants(
+        kernel: &kernels::KernelTemplate,
+        platform: perfsim::Platform,
+        launch: advisor::LaunchConfig,
+    ) -> Vec<(advisor::Variant, f64)> {
+        let engine = engine::Engine::builder()
+            .platform(platform)
+            .backend(engine::SimulatorBackend::noise_free())
+            .build();
+        let sizes = kernel.default_sizes();
+        let instances: Vec<_> = advisor::Variant::applicable_variants(kernel)
+            .into_iter()
+            .filter(|v| v.is_gpu() == platform.is_gpu())
+            .map(|variant| advisor::instantiate(kernel, variant, &sizes, launch))
+            .collect();
+        let mut ranked: Vec<(advisor::Variant, f64)> = engine
+            .predict_instances(&instances)
+            .into_iter()
+            .zip(&instances)
+            .map(|(prediction, instance)| (instance.variant, prediction.unwrap()))
+            .collect();
+        ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+        ranked
+    }
+
+    #[test]
+    fn rank_variants_produces_sorted_gpu_candidates() {
+        let mm = kernels::find_kernel("MM/matmul").unwrap();
+        let ranked = rank_variants(
+            &mm,
+            perfsim::Platform::SummitV100,
+            advisor::LaunchConfig {
+                teams: 80,
+                threads: 128,
+            },
+        );
+        assert_eq!(
+            ranked.len(),
+            4,
+            "four GPU variants for a collapsible kernel"
+        );
+        assert!(ranked.windows(2).all(|w| w[0].1 <= w[1].1));
+        assert!(ranked.iter().all(|(v, _)| v.is_gpu()));
+    }
+
+    #[test]
+    fn rank_variants_cpu_platform_uses_cpu_variants() {
+        let mv = kernels::find_kernel("MV/matvec").unwrap();
+        let ranked = rank_variants(
+            &mv,
+            perfsim::Platform::CoronaEpyc7401,
+            advisor::LaunchConfig {
+                teams: 1,
+                threads: 16,
+            },
+        );
+        assert_eq!(
+            ranked.len(),
+            1,
+            "matvec is not collapsible: only the plain cpu variant"
+        );
+        assert!(!ranked[0].0.is_gpu());
+    }
+}

@@ -161,21 +161,6 @@ fn simulator_backend_matches_legacy_ranking_exactly() {
         assert!(ranked.windows(2).all(|w| w[0].1 <= w[1].1));
         assert!(ranked.iter().all(|(v, _)| v.is_gpu() == platform.is_gpu()));
     }
-
-    let mm = find_kernel("MM/matmul").unwrap();
-    assert_eq!(
-        simulator_ranking(&mm, PLATFORM, LAUNCH).len(),
-        4,
-        "four GPU variants for a collapsible kernel"
-    );
-    let mv = find_kernel("MV/matvec").unwrap();
-    let ranked = simulator_ranking(&mv, Platform::CoronaEpyc7401, cpu_launch);
-    assert_eq!(
-        ranked.len(),
-        1,
-        "matvec is not collapsible: only the plain cpu variant"
-    );
-    assert!(!ranked[0].0.is_gpu());
 }
 
 /// A second identical request is served from the graph/AST cache: no
