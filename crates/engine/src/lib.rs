@@ -15,8 +15,8 @@
 //! path:
 //!
 //! ```text
-//! AdviseRequest ──► resolve kernel ──► enumerate (variant × launch)
-//!        │                                      │
+//! AdviseRequest ──► resolve kernel ──► CandidateSpace (gated variants × launch axes)
+//!        │                                      │ instances
 //!        │                         predict_batch (rayon fan-out)
 //!        │                                      │
 //!        │               RuntimePredictor backend (simulator | gnn | compoff)
@@ -44,6 +44,7 @@ pub mod cache;
 pub mod error;
 pub mod report;
 pub mod request;
+pub mod space;
 
 pub use backend::{PredictionContext, RuntimePredictor, SimulatorBackend};
 pub use cache::{CacheCounters, FrontendCache, LruCache, RequestCounters};
@@ -56,29 +57,20 @@ pub use report::{
     AdviseReport, CacheActivity, PredictionFailure, StageBreakdown, Timing, VariantPrediction,
 };
 pub use request::{AdviseRequest, KernelSpec, LaunchBudget};
+pub use space::CandidateSpace;
 
-use pg_advisor::{
-    instantiate, KernelInstance, LaunchConfig, ParallelismBudget, PrunedVariant, Variant,
-};
+use pg_advisor::{KernelInstance, LaunchConfig, ParallelismBudget, PrunedVariant, Variant};
 use pg_analyze::{AnalysisReport, Diagnostic, LegalityVerdict};
+use pg_kernels::KernelTemplate;
 use pg_obs::{obs, Obs, Stage, TraceHandle};
 use pg_perfsim::Platform;
+use space::Origin;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Default capacity of each frontend-cache layer.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
-
-/// What candidate enumeration hands the predictor: admitted instances, the
-/// unique diagnostics collected while gating them, the variants the
-/// legality analysis pruned, and how long the gate itself took.
-struct GatedCandidates {
-    instances: Vec<KernelInstance>,
-    diagnostics: Vec<Diagnostic>,
-    race_pruned: Vec<PrunedVariant>,
-    /// Wall time spent in the legality gate (0 when untraced or gate off).
-    analyze_us: u64,
-}
 
 /// The serving facade: a platform, a prediction backend, and a memoized
 /// frontend, behind one `advise` call.
@@ -204,223 +196,194 @@ impl Engine {
         self.cache.counters()
     }
 
-    /// Launch configurations for a request's budget on this platform.
-    fn launches(&self, budget: &LaunchBudget, gpu: bool) -> Vec<LaunchConfig> {
-        let sweep_for = |budget: &ParallelismBudget| {
-            if gpu {
-                budget.gpu_launches()
-            } else {
-                budget.cpu_launches()
-            }
-        };
-        match budget {
-            LaunchBudget::Fixed(launch) => vec![*launch],
-            LaunchBudget::Sweep(budget) => sweep_for(budget),
-            LaunchBudget::PlatformDefault => sweep_for(&self.platform.default_budget()),
-        }
-    }
-
-    /// Legality analysis of one instance's source, memoized by
-    /// (kernel full name, source). Catalogue kernels are assessed under
-    /// their documented tolerances via
-    /// [`pg_advisor::assess_instance`]; the memo makes the warm advise
-    /// path as cheap as before the gate existed.
-    fn analysis_of(&self, instance: &KernelInstance) -> Arc<AnalysisReport> {
-        let key = format!(
-            "{}/{}\u{0}{}",
-            instance.application, instance.kernel, instance.source
-        );
-        if let Some(report) = self
-            .analysis_memo
-            .lock()
-            .expect("analysis memo poisoned")
-            .get_by(key.as_str())
-        {
-            return report;
-        }
-        let report = Arc::new(pg_advisor::assess_instance(instance));
-        self.analysis_memo
-            .lock()
-            .expect("analysis memo poisoned")
-            .insert(key, Arc::clone(&report));
-        report
-    }
-
-    /// Append `src` diagnostics not already present in `dst` (launch-grid
-    /// probes of one kernel repeat the same findings).
-    fn merge_diagnostics(dst: &mut Vec<Diagnostic>, src: &[Diagnostic]) {
-        for diag in src {
-            if !dst.contains(diag) {
-                dst.push(diag.clone());
-            }
-        }
-    }
-
-    /// [`Engine::analysis_of`] wrapped in an `analyze` stage span when
-    /// observability is on; with it off this is the bare memoized call.
-    fn analysis_traced(
+    /// Legality analysis of one probe, memoized by (kernel full name,
+    /// source): catalogue kernels are assessed under their documented
+    /// tolerances via [`pg_advisor::assess_instance`], and the memo makes
+    /// the warm advise path as cheap as before the gate existed. With
+    /// observability on, the call is timed into `analyze_us` and traced as
+    /// an `analyze` span — trace-only, since pg-analyze's own instrumented
+    /// entry point feeds the histogram, so a memo hit records no phantom
+    /// analysis sample.
+    fn analysis_of(
         &self,
         o: &Obs,
         trace: &TraceHandle,
-        instance: &KernelInstance,
+        probe: &KernelInstance,
         analyze_us: &mut u64,
     ) -> Arc<AnalysisReport> {
-        if !o.enabled() {
-            return self.analysis_of(instance);
-        }
-        let started = Instant::now();
-        // Trace-only: the `analyze` histogram is fed by pg-analyze's own
-        // instrumented entry point, so a memoized warm probe records no
-        // phantom analysis sample.
+        let started = o.enabled().then(Instant::now);
         let span = o.trace_span(trace, Stage::Analyze, trace.root());
-        let report = self.analysis_of(instance);
+        let key = format!(
+            "{}/{}\u{0}{}",
+            probe.application, probe.kernel, probe.source
+        );
+        let memo = || self.analysis_memo.lock().expect("analysis memo poisoned");
+        let memoized = memo().get_by(key.as_str());
+        let report = memoized.unwrap_or_else(|| {
+            let report = Arc::new(pg_advisor::assess_instance(probe));
+            memo().insert(key, Arc::clone(&report));
+            report
+        });
         span.finish();
-        *analyze_us += started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+        if let Some(started) = started {
+            *analyze_us += started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+        }
         report
     }
 
-    /// Enumerate the candidate instances of a request, gated by the static
-    /// legality analysis when enabled: catalogue variants with a `Race`
-    /// verdict are pruned before prediction, raw-source requests are
-    /// diagnosed but never pruned (there is no alternative variant to fall
-    /// back on — the caller sees the diagnostics and decides).
-    fn candidates(
+    /// The candidate space of a kernel template on this engine's platform:
+    /// its applicable variants at `sizes` (`None` = the template's
+    /// defaults) times the launch grid of `budget`, gated by the legality
+    /// analysis when enabled.
+    ///
+    /// Catalogue requests resolve their template and come through here, so
+    /// a template outside the catalogue (a modified or hand-written kernel)
+    /// is enumerated and gated exactly as `advise` would. `trace` receives
+    /// one `analyze` span per legality probe; pass
+    /// [`TraceHandle::disabled`] when untraced.
+    pub fn template_space(
+        &self,
+        kernel: KernelTemplate,
+        sizes: Option<HashMap<String, i64>>,
+        budget: &LaunchBudget,
+        trace: &TraceHandle,
+    ) -> Result<CandidateSpace, EngineError> {
+        let variants: Vec<Variant> = Variant::applicable_variants(&kernel)
+            .into_iter()
+            .filter(|v| v.is_gpu() == self.platform.is_gpu())
+            .collect();
+        if variants.is_empty() {
+            return Err(EngineError::NoApplicableVariants {
+                kernel: kernel.full_name(),
+                platform: self.platform,
+            });
+        }
+        let sizes = sizes.unwrap_or_else(|| kernel.default_sizes());
+        self.gated_space(Origin::Template { kernel, sizes }, variants, budget, trace)
+    }
+
+    /// The candidate space of an advise request. A raw source is validated
+    /// once up front, so a typo fails the request instead of every
+    /// candidate, and is ranked as-is under the platform's plain variant.
+    fn request_space(
         &self,
         request: &AdviseRequest,
         counters: &RequestCounters,
         trace: &TraceHandle,
-    ) -> Result<GatedCandidates, EngineError> {
-        let o = obs();
-        let mut analyze_us = 0u64;
-        let launches = self.launches(&request.budget, self.platform.is_gpu());
-        if launches.is_empty() {
-            return Err(EngineError::EmptyBudget);
-        }
+    ) -> Result<CandidateSpace, EngineError> {
         match &request.kernel {
             KernelSpec::Catalog(name) => {
                 let kernel = pg_kernels::find_kernel(name)
                     .ok_or_else(|| EngineError::UnknownKernel(name.clone()))?;
-                let sizes = request
-                    .sizes
-                    .clone()
-                    .unwrap_or_else(|| kernel.default_sizes());
-                let variants: Vec<Variant> = Variant::applicable_variants(&kernel)
-                    .into_iter()
-                    .filter(|v| v.is_gpu() == self.platform.is_gpu())
-                    .collect();
-                if variants.is_empty() {
-                    return Err(EngineError::NoApplicableVariants {
-                        kernel: name.clone(),
-                        platform: self.platform,
-                    });
-                }
-                let mut out = Vec::with_capacity(variants.len() * launches.len());
-                let mut diagnostics: Vec<Diagnostic> = Vec::new();
-                let mut race_pruned: Vec<PrunedVariant> = Vec::new();
-                for variant in variants {
-                    // Legality never depends on the launch clauses
-                    // (num_teams / thread_limit / schedule), so one probe
-                    // at the first grid point gates the variant's whole
-                    // launch sweep — the golden suite pins this
-                    // launch-invariance.
-                    if self.analysis_gate {
-                        let probe = instantiate(&kernel, variant, &sizes, launches[0]);
-                        let report = self.analysis_traced(o, trace, &probe, &mut analyze_us);
-                        Self::merge_diagnostics(&mut diagnostics, &report.diagnostics);
-                        if let LegalityVerdict::Race(reason) = &report.verdict {
-                            race_pruned.push(PrunedVariant {
-                                variant: variant.name().to_string(),
-                                reason: reason.clone(),
-                            });
-                            continue;
-                        }
-                        out.push(probe);
-                        for &launch in &launches[1..] {
-                            out.push(instantiate(&kernel, variant, &sizes, launch));
-                        }
-                    } else {
-                        for &launch in &launches {
-                            out.push(instantiate(&kernel, variant, &sizes, launch));
-                        }
-                    }
-                }
-                if out.is_empty() {
-                    return Err(EngineError::AllVariantsRace {
-                        kernel: name.clone(),
-                        reason: race_pruned
-                            .first()
-                            .map(|p| p.reason.clone())
-                            .unwrap_or_default(),
-                    });
-                }
-                Ok(GatedCandidates {
-                    instances: out,
-                    diagnostics,
-                    race_pruned,
-                    analyze_us,
-                })
+                self.template_space(kernel, request.sizes.clone(), &request.budget, trace)
             }
             KernelSpec::Source { name, source } => {
-                // Validate the source once up front so a typo fails the
-                // request instead of every candidate.
                 self.cache.ast_recorded(source, Some(counters))?;
-                let (app, kernel_name) = match name.split_once('/') {
-                    Some((app, k)) => (app.to_string(), k.to_string()),
-                    None => (name.clone(), name.clone()),
+                let origin = Origin::Source {
+                    name: name.clone(),
+                    source: source.clone(),
                 };
-                let instances: Vec<KernelInstance> = launches
-                    .into_iter()
-                    .map(|launch| KernelInstance {
-                        application: app.clone(),
-                        kernel: kernel_name.clone(),
-                        variant: if self.platform.is_gpu() {
-                            Variant::Gpu
-                        } else {
-                            Variant::Cpu
-                        },
-                        sizes: Default::default(),
-                        launch,
-                        source: source.clone(),
-                        bytes_to_device: 0,
-                        bytes_from_device: 0,
-                    })
-                    .collect();
-                if !self.analysis_gate {
-                    return Ok(GatedCandidates {
-                        instances,
-                        diagnostics: Vec::new(),
-                        race_pruned: Vec::new(),
-                        analyze_us,
-                    });
-                }
-                // Every candidate shares the one raw source, so a single
-                // assessment covers the whole launch sweep. Raw sources
-                // are diagnosed but never pruned — there is no alternative
-                // variant to fall back on.
-                let mut diagnostics = Vec::new();
-                Self::merge_diagnostics(
-                    &mut diagnostics,
-                    &self
-                        .analysis_traced(o, trace, &instances[0], &mut analyze_us)
-                        .diagnostics,
-                );
-                Ok(GatedCandidates {
-                    instances,
-                    diagnostics,
-                    race_pruned: Vec::new(),
-                    analyze_us,
-                })
+                let variant = if self.platform.is_gpu() {
+                    Variant::Gpu
+                } else {
+                    Variant::Cpu
+                };
+                self.gated_space(origin, vec![variant], &request.budget, trace)
             }
         }
+    }
+
+    /// Span the launch grid of `budget` and gate `variants`: template
+    /// variants with a `Race` verdict are pruned, a raw source is diagnosed
+    /// but never pruned (there is no alternative variant to fall back on —
+    /// the caller sees the diagnostics and decides).
+    fn gated_space(
+        &self,
+        origin: Origin,
+        variants: Vec<Variant>,
+        budget: &LaunchBudget,
+        trace: &TraceHandle,
+    ) -> Result<CandidateSpace, EngineError> {
+        // GPU variants sweep teams × threads, teams-major like
+        // `gpu_launches`; CPU variants sweep threads at one team.
+        let axes = |budget: &ParallelismBudget| {
+            if self.platform.is_gpu() {
+                (budget.gpu_teams.clone(), budget.gpu_threads.clone())
+            } else {
+                (vec![1], budget.cpu_threads.clone())
+            }
+        };
+        let (teams_axis, threads_axis) = match budget {
+            LaunchBudget::Fixed(launch) => (vec![launch.teams], vec![launch.threads]),
+            LaunchBudget::Sweep(budget) => axes(budget),
+            LaunchBudget::PlatformDefault => axes(&self.platform.default_budget()),
+        };
+        if teams_axis.is_empty() || threads_axis.is_empty() {
+            return Err(EngineError::EmptyBudget);
+        }
+        let probe_launch = LaunchConfig {
+            teams: teams_axis[0],
+            threads: threads_axis[0],
+        };
+        let prunable = matches!(origin, Origin::Template { .. });
+        let o = obs();
+        let mut analyze_us = 0u64;
+        let mut admitted = Vec::with_capacity(variants.len());
+        let mut diagnostics: Vec<Diagnostic> = Vec::new();
+        let mut race_pruned: Vec<PrunedVariant> = Vec::new();
+        for variant in variants {
+            // Legality never depends on the launch clauses (num_teams /
+            // thread_limit / schedule), so one probe at the grid origin
+            // gates the variant's whole launch sweep — the golden suite
+            // pins this launch-invariance.
+            if self.analysis_gate {
+                let probe = origin.instance(variant, probe_launch);
+                let report = self.analysis_of(o, trace, &probe, &mut analyze_us);
+                // Probes of one kernel's variants repeat the same findings.
+                for diagnostic in &report.diagnostics {
+                    if !diagnostics.contains(diagnostic) {
+                        diagnostics.push(diagnostic.clone());
+                    }
+                }
+                if let (true, LegalityVerdict::Race(reason)) = (prunable, &report.verdict) {
+                    race_pruned.push(PrunedVariant {
+                        variant: variant.name().to_string(),
+                        reason: reason.clone(),
+                    });
+                    continue;
+                }
+            }
+            admitted.push(variant);
+        }
+        if admitted.is_empty() {
+            return Err(EngineError::AllVariantsRace {
+                kernel: origin.name(),
+                reason: race_pruned
+                    .first()
+                    .map(|p| p.reason.clone())
+                    .unwrap_or_default(),
+            });
+        }
+        Ok(CandidateSpace {
+            origin,
+            variants: admitted,
+            teams_axis,
+            threads_axis,
+            diagnostics,
+            race_pruned,
+            analyze_us,
+        })
     }
 
     /// Predict already-enumerated kernel instances through the engine's
     /// backend and frontend cache, preserving order.
     ///
     /// This is the lower-level sibling of [`Engine::advise`] for callers
-    /// that bring their own candidates — custom kernel templates not in
-    /// the catalogue, hand-built sweeps, or instances produced by the
-    /// `pg-dataset` pipeline.
+    /// that bring their own candidates: hand-built sweeps, instances of the
+    /// `pg-dataset` pipeline, or the part of a [`CandidateSpace`] a caller
+    /// can afford — `pg-tune` prices each search generation's frontier with
+    /// one call. Nothing is gated here; gating happens once, when the space
+    /// is built.
     pub fn predict_instances(&self, instances: &[KernelInstance]) -> Vec<Result<f64, EngineError>> {
         self.predict_instances_counted(instances).0
     }
@@ -489,12 +452,10 @@ impl Engine {
             started: Instant,
             enumerate_ms: f64,
             enumerate_us: u64,
-            analyze_us: u64,
             enum_cache: CacheCounters,
             is_catalog: bool,
             range: std::ops::Range<usize>,
-            diagnostics: Vec<Diagnostic>,
-            race_pruned: Vec<PrunedVariant>,
+            space: CandidateSpace,
         }
 
         let o = obs();
@@ -510,25 +471,24 @@ impl Engine {
             let counters = RequestCounters::default();
             let trace = trace_of(request_idx);
             let enum_span = o.span(trace, Stage::Enumerate, trace.root());
-            let gated = self.candidates(request, &counters, trace);
+            let start = candidates.len();
+            let space = self.request_space(request, &counters, trace);
+            if let Ok(space) = &space {
+                candidates.extend(space.instances());
+            }
             enum_span.finish();
-            match gated {
-                Ok(gated) => {
-                    let start = candidates.len();
-                    let mut enumerated = gated.instances;
-                    candidates.append(&mut enumerated);
+            match space {
+                Ok(space) => {
                     let elapsed = started.elapsed();
                     pending.push(Pending {
                         request_idx,
                         started,
                         enumerate_ms: elapsed.as_secs_f64() * 1e3,
                         enumerate_us: elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
-                        analyze_us: gated.analyze_us,
                         enum_cache: counters.snapshot(),
                         is_catalog: matches!(request.kernel, KernelSpec::Catalog(_)),
                         range: start..candidates.len(),
-                        diagnostics: gated.diagnostics,
-                        race_pruned: gated.race_pruned,
+                        space,
                     });
                 }
                 Err(error) => results[request_idx] = Some(Err(error)),
@@ -612,13 +572,13 @@ impl Engine {
                         hits: entry.enum_cache.hits + predict_cache.hits,
                         misses: entry.enum_cache.misses + predict_cache.misses,
                     },
-                    diagnostics: entry.diagnostics,
-                    race_pruned: entry.race_pruned,
+                    diagnostics: entry.space.diagnostics,
+                    race_pruned: entry.space.race_pruned,
                     stages: trace_of(entry.request_idx)
                         .active()
                         .then_some(StageBreakdown {
                             enumerate_us: entry.enumerate_us,
-                            analyze_us: entry.analyze_us,
+                            analyze_us: entry.space.analyze_us,
                             predict_us,
                         }),
                 })

@@ -129,9 +129,8 @@ impl Platform {
     /// the core count for CPUs.
     ///
     /// This is the single source of the "platform default" grid: the
-    /// engine's `LaunchBudget::PlatformDefault` and the tuner's
-    /// `SearchSpace` both resolve through it, which is what keeps an
-    /// exhaustive tuning run bit-identical to an advise sweep.
+    /// engine resolves `LaunchBudget::PlatformDefault` through it when it
+    /// builds the candidate space that advise and the tuner share.
     pub fn default_budget(self) -> pg_advisor::ParallelismBudget {
         let units = self.parallel_units();
         if self.is_gpu() {

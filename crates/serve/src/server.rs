@@ -462,13 +462,9 @@ fn advise(shared: &Arc<Shared>, token: u64, body: &[u8], close: bool, trace: Tra
                     }
                     other => {
                         let status = match other {
-                            ServeError::ShuttingDown => 503,
-                            ServeError::Engine(EngineError::BackendUnavailable(_)) => 503,
-                            // The request was well-formed HTTP+JSON but the
-                            // engine cannot satisfy it (unknown kernel, bad
-                            // source, empty budget): the client's fault, a
-                            // semantic 422.
-                            _ => 422,
+                            ServeError::Engine(error) => engine_status(error),
+                            // Draining: the server accepts no more work.
+                            _ => 503,
                         };
                         shared.metrics.advise_failed.fetch_add(1, Ordering::Relaxed);
                         pg_obs::debug!("advise failed", status = status, error = error);
@@ -479,6 +475,19 @@ fn advise(shared: &Arc<Shared>, token: u64, body: &[u8], close: bool, trace: Tra
             shared.complete(token, response, close, true);
         }),
     );
+}
+
+/// The status of an engine failure, for `/advise` and `/tune` alike: 503
+/// when the backend refuses to serve (backends refuse per candidate, so the
+/// refusal arrives as the first error of `AllPredictionsFailed`); otherwise
+/// the request was well-formed HTTP+JSON the engine cannot satisfy (unknown
+/// kernel, bad source, empty budget) — the client's fault, a semantic 422.
+fn engine_status(error: &EngineError) -> u16 {
+    match error {
+        EngineError::BackendUnavailable(_) => 503,
+        EngineError::AllPredictionsFailed { first, .. } => engine_status(first),
+        _ => 422,
+    }
 }
 
 /// The 422 body for a request whose raw kernel source the frontend
@@ -521,8 +530,9 @@ fn frontend_rejection(error: &pg_engine::FrontendError) -> Response {
 /// dispatch) — a tuning run is strictly heavier than an advise call (many
 /// frontier batches), so it must not be able to sneak past the load
 /// shedding. The micro-batcher is *not* in this path: the tuner already
-/// batches internally (each search generation is one `advise_many`, i.e.
-/// one backend `predict_batch`). It blocks its worker thread for the run —
+/// batches internally (each search generation is one
+/// `Engine::predict_instances`, i.e. one backend `predict_batch`). It
+/// blocks its worker thread for the run —
 /// bounded by the budget clamp below.
 fn tune(shared: &Shared, body: &[u8], trace: &TraceHandle) -> Response {
     let mut request: TuneRequest = match parse_body(shared, body, "TuneRequest") {
@@ -568,11 +578,9 @@ fn tune(shared: &Shared, body: &[u8], trace: &TraceHandle) -> Response {
         }
         Err(error) => {
             let status = match &error {
-                TuneError::Engine(EngineError::BackendUnavailable(_)) => 503,
-                // Well-formed HTTP+JSON the tuner cannot satisfy (unknown
-                // kernel, empty budget, starved evaluation budget): a
-                // semantic 422, mirroring /advise.
-                _ => 422,
+                TuneError::Engine(error) => engine_status(error),
+                // A starved evaluation budget is the client's to fix.
+                TuneError::NothingEvaluated { .. } => 422,
             };
             shared.metrics.tune_failed.fetch_add(1, Ordering::Relaxed);
             pg_obs::debug!("tune failed", status = status, error = error);
@@ -776,6 +784,55 @@ mod tests {
         assert_eq!(metrics.tune_ok, 0);
         assert_eq!(metrics.tune_failed, 1);
         assert_eq!(metrics.http_bad_requests, 1);
+    }
+
+    /// A backend that refuses every candidate, as a model trained for
+    /// another platform does.
+    struct RefusingBackend;
+
+    impl pg_engine::RuntimePredictor for RefusingBackend {
+        fn name(&self) -> &str {
+            "refusing"
+        }
+
+        fn predict(
+            &self,
+            _: &pg_engine::PredictionContext<'_>,
+            _: &pg_advisor::KernelInstance,
+        ) -> Result<f64, EngineError> {
+            Err(EngineError::BackendUnavailable(
+                "trained for another platform".into(),
+            ))
+        }
+    }
+
+    #[test]
+    fn a_backend_refusing_the_platform_answers_503_on_advise_and_tune() {
+        let engine = Engine::builder()
+            .platform(Platform::SummitV100)
+            .backend(RefusingBackend)
+            .build();
+        let server = Server::start(Arc::new(engine), ServeConfig::default()).unwrap();
+        let (status, body) = post_advise(
+            server.addr(),
+            r#"{"kernel":{"Catalog":"MM/matmul"},"sizes":null,"budget":"PlatformDefault"}"#,
+        );
+        assert_eq!(status, 503, "body: {body}");
+        assert!(body.contains("backend unavailable"), "{body}");
+        let json = serde_json::to_string(&TuneRequest::catalog("MM/matmul")).unwrap();
+        let (status, body) = roundtrip(
+            server.addr(),
+            &format!(
+                "POST /tune HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\
+                 Connection: close\r\n\r\n{json}",
+                json.len()
+            ),
+        );
+        assert_eq!(status, 503, "body: {body}");
+        assert!(body.contains("backend unavailable"), "{body}");
+        let metrics = server.shutdown();
+        assert_eq!(metrics.advise_failed, 1);
+        assert_eq!(metrics.tune_failed, 1);
     }
 
     #[test]

@@ -1,35 +1,14 @@
 //! Why a tuning run could not start or finish.
 
 use pg_engine::EngineError;
-use pg_perfsim::Platform;
 
 /// Error of one tuning run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TuneError {
-    /// The requested kernel is not in the Table I catalogue. Tuning searches
-    /// the variant space, which only catalogue templates can enumerate.
-    UnknownKernel(String),
-    /// No transformation variant of the kernel applies on the platform.
-    NoApplicableVariants {
-        /// The requested kernel.
-        kernel: String,
-        /// The engine's platform.
-        platform: Platform,
-    },
-    /// The launch budget spans no launch configuration.
-    EmptyBudget,
-    /// The static legality gate rejected every applicable variant as a data
-    /// race, leaving nothing to search.
-    AllVariantsRace {
-        /// The requested kernel.
-        kernel: String,
-        /// The race reason of the first rejected variant.
-        reason: String,
-    },
     /// The budget could not afford a single launch point, so the search
     /// evaluated nothing: either `max_generations` is zero, or
     /// `max_evaluations` is below the cost of one point (one prediction per
-    /// applicable variant).
+    /// admitted variant).
     NothingEvaluated {
         /// Cost of one launch point, in evaluations.
         point_cost: u64,
@@ -38,26 +17,15 @@ pub enum TuneError {
         /// The configured `max_generations`.
         max_generations: u64,
     },
-    /// The engine failed while scoring a frontier.
+    /// The engine could not build the space (unknown kernel, no applicable
+    /// variant, empty budget, every variant a race) or every prediction at
+    /// a grid point failed.
     Engine(EngineError),
 }
 
 impl std::fmt::Display for TuneError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TuneError::UnknownKernel(name) => {
-                write!(f, "unknown catalogue kernel `{name}` (tuning needs a catalogue template to enumerate variants)")
-            }
-            TuneError::NoApplicableVariants { kernel, platform } => write!(
-                f,
-                "no applicable variants of `{kernel}` on {}",
-                platform.name()
-            ),
-            TuneError::EmptyBudget => write!(f, "the launch budget spans no launch configuration"),
-            TuneError::AllVariantsRace { kernel, reason } => write!(
-                f,
-                "every variant of `{kernel}` was rejected by the legality gate: {reason}"
-            ),
             TuneError::NothingEvaluated {
                 point_cost,
                 max_evaluations,

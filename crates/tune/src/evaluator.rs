@@ -8,8 +8,10 @@
 //!   never re-spend budget),
 //! * truncates the frontier so neither [`Budget`] bound can
 //!   be exceeded,
-//! * scores the whole frontier with **one** [`Engine::advise_many`] call
-//!   (one coalesced backend `predict_batch` per generation),
+//! * instantiates every admitted variant at each remaining point from the
+//!   [`SearchSpace`] and prices them with **one**
+//!   [`Engine::predict_instances`] call (one backend `predict_batch` per
+//!   generation),
 //! * records per-candidate evaluations, the best-so-far trajectory, and the
 //!   global best under exactly the tie-break `Engine::advise`'s stable sort
 //!   uses (predicted time, then variant enumeration order, then launch
@@ -22,8 +24,9 @@
 use crate::error::TuneError;
 use crate::report::{Budget, StopReason, TrajectoryPoint};
 use crate::space::{GridPoint, SearchSpace};
-use pg_advisor::{LaunchConfig, Variant};
-use pg_engine::{AdviseRequest, Engine};
+use pg_advisor::{KernelInstance, LaunchConfig, Variant};
+use pg_engine::{Engine, EngineError};
+use pg_obs::{obs, Stage};
 use std::collections::HashMap;
 
 /// One scored candidate: a `(variant, launch)` pair and its prediction,
@@ -32,7 +35,7 @@ use std::collections::HashMap;
 pub struct Evaluation {
     /// The transformation variant.
     pub variant: Variant,
-    /// Position of the variant in [`SearchSpace::variants`].
+    /// Position of the variant in [`pg_engine::CandidateSpace::variants`].
     pub variant_idx: usize,
     /// The launch configuration.
     pub launch: LaunchConfig,
@@ -105,10 +108,10 @@ impl<'a> Evaluator<'a> {
         self.space
     }
 
-    /// Evaluations one launch point costs: one prediction per applicable
-    /// variant (an advise request at a fixed launch ranks them all).
+    /// Evaluations one launch point costs: one prediction per admitted
+    /// variant.
     pub fn point_cost(&self) -> u64 {
-        self.space.variants.len() as u64
+        self.space.variants().len() as u64
     }
 
     /// Successful candidate predictions so far — one per trace entry (the
@@ -118,10 +121,10 @@ impl<'a> Evaluator<'a> {
         self.evaluations
     }
 
-    /// Candidate predictions the backend failed per-candidate (the engine
-    /// keeps the report and records them as failures). They produce no
-    /// trace entry and spend no evaluation budget, but their generations
-    /// still count, so `max_generations` bounds a failing backend's work.
+    /// Candidate predictions the backend failed per-candidate at points
+    /// where another variant succeeded. They produce no trace entry and
+    /// spend no evaluation budget, but their generations still count, so
+    /// `max_generations` bounds a failing backend's work.
     pub fn failed(&self) -> u64 {
         self.failed
     }
@@ -168,7 +171,8 @@ impl<'a> Evaluator<'a> {
         &self.trajectory
     }
 
-    /// Every candidate evaluation, in evaluation order.
+    /// Every candidate evaluation, in evaluation order: frontier order, and
+    /// variant order within a point.
     pub fn trace(&self) -> &[Evaluation] {
         &self.trace
     }
@@ -202,8 +206,11 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluate a frontier of grid points: dedup against the memo, truncate
-    /// to what the budget affords, and score the remainder with one
-    /// `Engine::advise_many` call (one backend `predict_batch`).
+    /// to what the budget affords, and price every admitted variant at the
+    /// remaining points with one [`Engine::predict_instances`] call (one
+    /// backend `predict_batch`). A point whose every prediction fails ends
+    /// the run with [`EngineError::AllPredictionsFailed`], as an advise
+    /// request would.
     ///
     /// Returns the scores of the **newly evaluated** points, in input
     /// order; already-evaluated points are silently skipped (read them with
@@ -235,42 +242,38 @@ impl<'a> Evaluator<'a> {
         }
 
         let gen_started = std::time::Instant::now();
-        let requests: Vec<AdviseRequest> = fresh
+        let space = self.space;
+        let variants = space.variants();
+        let instances: Vec<KernelInstance> = fresh
             .iter()
-            .map(|&p| {
-                let mut request = AdviseRequest::catalog(self.space.kernel.full_name())
-                    .with_launch(self.space.launch(p));
-                request.sizes = self.space.sizes.clone();
-                request
+            .flat_map(|&p| {
+                let flat = space.flat_index(p);
+                (0..variants.len()).map(move |v| space.instance(v, flat))
             })
             .collect();
-        let results = self.engine.advise_many(&requests);
+        let predict = obs().timer(Stage::Predict);
+        let predictions = self.engine.predict_instances(&instances);
+        predict.finish();
         self.generations += 1;
 
         let mut out = Vec::with_capacity(fresh.len());
-        for (&point, result) in fresh.iter().zip(results) {
-            let report = result.map_err(TuneError::Engine)?;
-            self.evaluations += report.rankings.len() as u64;
-            self.failed += report.failures.len() as u64;
-            let flat_launch = self.space.flat_index(point);
+        for (&point, results) in fresh.iter().zip(predictions.chunks(variants.len())) {
+            let launch = space.launch(point);
+            let flat_launch = space.flat_index(point);
             let mut point_best: Option<Evaluation> = None;
-            for prediction in &report.rankings {
-                let variant = prediction
-                    .variant
-                    .expect("catalogue advise always reports a variant");
-                let variant_idx = self
-                    .space
-                    .variants
-                    .iter()
-                    .position(|&v| v == variant)
-                    .expect("advise enumerates exactly the space's variants");
+            for ((variant_idx, &variant), result) in variants.iter().enumerate().zip(results) {
+                let Ok(predicted_ms) = *result else {
+                    self.failed += 1;
+                    continue;
+                };
                 let evaluation = Evaluation {
                     variant,
                     variant_idx,
-                    launch: prediction.launch,
+                    launch,
                     flat_launch,
-                    predicted_ms: prediction.predicted_ms,
+                    predicted_ms,
                 };
+                self.evaluations += 1;
                 if self.best.is_none_or(|best| evaluation.beats(&best)) {
                     self.best = Some(evaluation);
                 }
@@ -279,10 +282,13 @@ impl<'a> Evaluator<'a> {
                 }
                 self.trace.push(evaluation);
             }
-            // advise_many turns an all-failures request into
-            // Err(AllPredictionsFailed) — propagated above — so an Ok
-            // report always carries at least one ranking.
-            let best = point_best.expect("an Ok advise report carries at least one ranking");
+            let Some(best) = point_best else {
+                let first = results.iter().find_map(|r| r.as_ref().err()).cloned();
+                return Err(TuneError::Engine(EngineError::AllPredictionsFailed {
+                    kernel: space.kernel(),
+                    first: Box::new(first.expect("a point without a prediction has a failure")),
+                }));
+            };
             let score = PointScore { point, best };
             self.scores.insert(point, score);
             out.push(score);
@@ -292,7 +298,7 @@ impl<'a> Evaluator<'a> {
             .as_ref()
             .expect("a scored generation produces a best");
         let gen_elapsed = gen_started.elapsed();
-        pg_obs::obs().record_stage(pg_obs::Stage::TuneGeneration, gen_elapsed);
+        obs().record_stage(Stage::TuneGeneration, gen_elapsed);
         self.trajectory.push(TrajectoryPoint {
             generation: self.generations,
             evaluations: self.evaluations,
@@ -306,18 +312,13 @@ impl<'a> Evaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pg_engine::LaunchBudget;
+    use pg_engine::{AdviseRequest, LaunchBudget};
     use pg_perfsim::Platform;
 
     fn fixture() -> (Engine, SearchSpace) {
         let engine = Engine::builder().platform(Platform::SummitV100).build();
-        let space = SearchSpace::build(
-            Platform::SummitV100,
-            "MM/matmul",
-            None,
-            &LaunchBudget::PlatformDefault,
-        )
-        .unwrap();
+        let space =
+            SearchSpace::build(&engine, "MM/matmul", None, &LaunchBudget::PlatformDefault).unwrap();
         (engine, space)
     }
 
@@ -344,7 +345,7 @@ mod tests {
         let (engine, space) = fixture();
         let budget = Budget {
             // Room for exactly two points (4 variants each).
-            max_evaluations: 2 * space.variants.len() as u64 + 1,
+            max_evaluations: 2 * space.variants().len() as u64 + 1,
             max_generations: 10,
         };
         let mut eval = Evaluator::new(&engine, &space, budget);

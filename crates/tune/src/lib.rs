@@ -14,11 +14,15 @@
 //! [`SearchStrategy`] decides which frontier to price next.
 //!
 //! ```text
-//! TuneRequest ──► SearchSpace (variants × teams-axis × threads-axis)
+//! TuneRequest ──► Engine::template_space (enumerate + gate, once per run)
+//!      │                    │ CandidateSpace (variants × teams-axis × threads-axis)
+//!      │                    ▼
+//!      │          SearchSpace (grid points, neighbours, seeds)
 //!      │                    │ frontiers (grid points)
 //!      │                    ▼
 //!      │          Evaluator (budget gate + memo + trajectory)
-//!      │                    │ one Engine::advise_many per generation
+//!      │                    │ instances of the frontier only;
+//!      │                    │ one Engine::predict_instances per generation
 //!      │                    ▼
 //!      │          backend predict_batch (simulator | gnn | compoff)
 //!      ▼
@@ -92,12 +96,15 @@ impl TuneEngine for Engine {
         request: &TuneRequest,
     ) -> Result<(TuneReport, Vec<Evaluation>), TuneError> {
         let started = Instant::now();
-        let space = SearchSpace::build(
-            self.platform(),
-            &request.kernel,
-            request.sizes.clone(),
-            &request.budget,
-        )?;
+        let space = {
+            let _enumerate = pg_obs::obs().timer(pg_obs::Stage::Enumerate);
+            SearchSpace::build(
+                self,
+                &request.kernel,
+                request.sizes.clone(),
+                &request.budget,
+            )?
+        };
         let mut eval = Evaluator::new(self, &space, request.limits);
         let strategy = request.strategy.build();
         let stop = strategy.search(&space, &mut eval)?;
@@ -120,7 +127,7 @@ impl TuneEngine for Engine {
             stop,
             generations: eval.generations(),
             space: SpaceAccounting {
-                variants: space.variants.len() as u64,
+                variants: space.variants().len() as u64,
                 launch_points: space.launch_points() as u64,
                 candidates: space.candidates(),
                 evaluated,
@@ -129,7 +136,7 @@ impl TuneEngine for Engine {
                     .candidates()
                     .saturating_sub(evaluated)
                     .saturating_sub(eval.failed()),
-                race_pruned: space.race_pruned,
+                race_pruned: space.race_pruned().len() as u64,
             },
             trajectory: eval.trajectory().to_vec(),
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
@@ -165,7 +172,7 @@ mod tests {
         let engine = Engine::builder().platform(Platform::SummitV100).build();
         assert!(matches!(
             engine.tune(&TuneRequest::catalog("Nope/none")),
-            Err(TuneError::UnknownKernel(_))
+            Err(TuneError::Engine(pg_engine::EngineError::UnknownKernel(_)))
         ));
         let starved = TuneRequest::catalog("MM/matmul").with_limits(Budget {
             max_evaluations: 1, // below the 4-variant cost of a single point

@@ -12,10 +12,11 @@ use std::collections::HashMap;
 ///
 /// `max_evaluations` counts **candidate predictions** (one per
 /// `variant × launch` pair the engine scores); `max_generations` counts
-/// frontier batches (each generation is one `Engine::advise_many` call and
-/// therefore one backend `predict_batch`). A strategy stops — mid-search if
-/// necessary — the moment either bound would be exceeded; the evaluator
-/// truncates frontiers so neither bound can ever be overshot.
+/// frontier batches (each generation is one `Engine::predict_instances`
+/// call and therefore one backend `predict_batch`). A strategy stops —
+/// mid-search if necessary — the moment either bound would be exceeded;
+/// the evaluator truncates frontiers so neither bound can ever be
+/// overshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Budget {
     /// Most candidate predictions the run may spend.
@@ -52,7 +53,7 @@ pub enum StrategySpec {
     /// `Engine::advise` over the same request, kept as the golden baseline.
     Exhaustive,
     /// Width-`width` beam over the launch grid with batched frontier
-    /// evaluation (each generation is one `advise_many` call).
+    /// evaluation (each generation is one backend `predict_batch`).
     Beam {
         /// Beam width: how many of the best evaluated points expand each
         /// generation (0 is treated as 1).

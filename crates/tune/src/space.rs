@@ -1,175 +1,89 @@
-//! The search space: the `(variant × launch)` grid a tuning run explores.
+//! The search space: the engine's candidate space, addressed as a launch
+//! grid.
 //!
-//! A [`SearchSpace`] is built from the same ingredients [`pg_engine::Engine`]
-//! uses to enumerate an advise sweep — [`Variant::applicable_variants`]
-//! filtered to the platform, and the launch grid of a
-//! [`ParallelismBudget`] — so that exhaustively evaluating the space is
-//! *bit-identical* to `Engine::advise` over the same request. Strategies
-//! move over the launch grid (the "levels of parallelism" axes of the
-//! paper); every visited grid point scores **all** applicable variants at
-//! that launch in one engine request, so the variant and clause dimensions
-//! (collapse, map, schedule — carried by the variant's pragma) are ranked
-//! for free with each move.
+//! A [`SearchSpace`] is the [`CandidateSpace`] that
+//! [`Engine::template_space`] enumerates and gates for `Engine::advise` —
+//! the same admitted variants, the same launch axes, the same order — so
+//! exhaustively evaluating the space is *bit-identical* to `Engine::advise`
+//! over the same request. Strategies move over the launch grid (the
+//! "levels of parallelism" axes of the paper); every visited grid point
+//! scores **all** admitted variants at that launch, so the variant and
+//! clause dimensions (collapse, map, schedule — carried by the variant's
+//! pragma) are ranked for free with each move.
 
-use crate::error::TuneError;
-use pg_advisor::{LaunchConfig, ParallelismBudget, Variant};
-use pg_analyze::LegalityVerdict;
-use pg_engine::LaunchBudget;
-use pg_kernels::KernelTemplate;
-use pg_perfsim::Platform;
+use pg_advisor::LaunchConfig;
+use pg_engine::{CandidateSpace, Engine, EngineError, LaunchBudget};
+use pg_obs::TraceHandle;
 use std::collections::HashMap;
+use std::ops::Deref;
 
 /// One point of the launch grid, addressed by its index on each axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GridPoint {
-    /// Index into [`SearchSpace::teams_axis`].
+    /// Index into [`CandidateSpace::teams_axis`].
     pub teams_idx: usize,
-    /// Index into [`SearchSpace::threads_axis`].
+    /// Index into [`CandidateSpace::threads_axis`].
     pub threads_idx: usize,
 }
 
-/// The space a tuning run searches: a catalogue kernel, the variants
-/// applicable on the platform, and the launch grid spanned by a parallelism
-/// budget.
+/// The space a tuning run searches: the engine's candidate space, with the
+/// grid geometry strategies move over. It dereferences to the
+/// [`CandidateSpace`] (variants, axes, legality findings, instances).
 #[derive(Debug, Clone)]
 pub struct SearchSpace {
-    /// The kernel template being tuned.
-    pub kernel: KernelTemplate,
-    /// Platform the engine serves (fixes the GPU/CPU variant filter and the
-    /// default launch grid).
-    pub platform: Platform,
-    /// Explicit problem sizes, if the request carried any (`None` lets the
-    /// engine use the kernel's defaults, exactly like `advise`).
-    pub sizes: Option<HashMap<String, i64>>,
-    /// Applicable variants in enumeration order — identical to the order
-    /// `Engine::advise` enumerates, which is what makes tie-breaking
-    /// bit-compatible.
-    pub variants: Vec<Variant>,
-    /// Team-count axis of the launch grid (always `[1]` on CPU platforms).
-    pub teams_axis: Vec<u64>,
-    /// Thread-count axis of the launch grid.
-    pub threads_axis: Vec<u64>,
-    /// Variants the static legality gate removed before the search started
-    /// (provable data races never enter the space, so no budget is spent on
-    /// them). Always 0 for the shipped catalogue.
-    pub race_pruned: u64,
+    candidates: CandidateSpace,
+}
+
+impl From<CandidateSpace> for SearchSpace {
+    fn from(candidates: CandidateSpace) -> Self {
+        SearchSpace { candidates }
+    }
+}
+
+impl Deref for SearchSpace {
+    type Target = CandidateSpace;
+
+    fn deref(&self) -> &CandidateSpace {
+        &self.candidates
+    }
 }
 
 impl SearchSpace {
-    /// Build the space for a catalogue kernel under a launch budget,
-    /// mirroring `Engine::advise` enumeration exactly: the same variant
-    /// filter, the same launch grid, the same ordering.
+    /// The space of a catalogue kernel under a launch budget, as `engine`
+    /// enumerates and gates it for `advise`. Templates outside the
+    /// catalogue enter through [`Engine::template_space`] and
+    /// [`SearchSpace::from`].
     pub fn build(
-        platform: Platform,
+        engine: &Engine,
         kernel_name: &str,
         sizes: Option<HashMap<String, i64>>,
         budget: &LaunchBudget,
-    ) -> Result<SearchSpace, TuneError> {
+    ) -> Result<SearchSpace, EngineError> {
         let kernel = pg_kernels::find_kernel(kernel_name)
-            .ok_or_else(|| TuneError::UnknownKernel(kernel_name.to_string()))?;
-        Self::build_for_template(kernel, platform, sizes, budget)
-    }
-
-    /// [`SearchSpace::build`] for a caller-supplied template (a modified
-    /// catalogue kernel, a hand-written one). The same legality gate
-    /// applies: variants whose instantiated source the analysis proves racy
-    /// are removed from the space before any budget is spent, and counted
-    /// in [`SearchSpace::race_pruned`].
-    pub fn build_for_template(
-        kernel: KernelTemplate,
-        platform: Platform,
-        sizes: Option<HashMap<String, i64>>,
-        budget: &LaunchBudget,
-    ) -> Result<SearchSpace, TuneError> {
-        let kernel_name = kernel.full_name();
-        let variants: Vec<Variant> = Variant::applicable_variants(&kernel)
-            .into_iter()
-            .filter(|v| v.is_gpu() == platform.is_gpu())
-            .collect();
-        if variants.is_empty() {
-            return Err(TuneError::NoApplicableVariants {
-                kernel: kernel_name,
-                platform,
-            });
-        }
-        let (teams_axis, threads_axis) = match budget {
-            LaunchBudget::Fixed(launch) => (vec![launch.teams], vec![launch.threads]),
-            LaunchBudget::Sweep(budget) => axes_of(budget, platform.is_gpu()),
-            LaunchBudget::PlatformDefault => axes_of(&platform.default_budget(), platform.is_gpu()),
-        };
-        if teams_axis.is_empty() || threads_axis.is_empty() {
-            return Err(TuneError::EmptyBudget);
-        }
-        // Legality gate: assess each variant once at the grid origin —
-        // launch clauses (num_teams / thread_limit / schedule) never change
-        // legality, so one launch point stands in for the whole grid.
-        let probe_launch = LaunchConfig {
-            teams: teams_axis[0],
-            threads: threads_axis[0],
-        };
-        let effective_sizes = sizes.clone().unwrap_or_else(|| kernel.default_sizes());
-        let mut admitted = Vec::with_capacity(variants.len());
-        let mut race_pruned = 0u64;
-        let mut first_reason: Option<String> = None;
-        for variant in variants {
-            let instance =
-                pg_advisor::instantiate(&kernel, variant, &effective_sizes, probe_launch);
-            let report = pg_advisor::assess_instance(&instance);
-            if let LegalityVerdict::Race(reason) = report.verdict {
-                race_pruned += 1;
-                first_reason.get_or_insert(reason);
-            } else {
-                admitted.push(variant);
-            }
-        }
-        if admitted.is_empty() {
-            return Err(TuneError::AllVariantsRace {
-                kernel: kernel_name,
-                reason: first_reason.unwrap_or_default(),
-            });
-        }
-        Ok(SearchSpace {
-            kernel,
-            platform,
-            sizes,
-            variants: admitted,
-            teams_axis,
-            threads_axis,
-            race_pruned,
-        })
-    }
-
-    /// Number of grid points (launch configurations).
-    pub fn launch_points(&self) -> usize {
-        self.teams_axis.len() * self.threads_axis.len()
-    }
-
-    /// Number of candidates (`variants × launch points`) — what exhaustive
-    /// search evaluates, and what an advise sweep ranks.
-    pub fn candidates(&self) -> u64 {
-        self.variants.len() as u64 * self.launch_points() as u64
+            .ok_or_else(|| EngineError::UnknownKernel(kernel_name.to_string()))?;
+        engine
+            .template_space(kernel, sizes, budget, &TraceHandle::disabled())
+            .map(SearchSpace::from)
     }
 
     /// The launch configuration at a grid point.
     pub fn launch(&self, point: GridPoint) -> LaunchConfig {
-        LaunchConfig {
-            teams: self.teams_axis[point.teams_idx],
-            threads: self.threads_axis[point.threads_idx],
-        }
+        self.candidates.launch(self.flat_index(point))
     }
 
     /// Flat index of a grid point in advise enumeration order (teams-major,
-    /// matching [`ParallelismBudget::gpu_launches`] /
-    /// [`ParallelismBudget::cpu_launches`]).
+    /// matching [`pg_advisor::ParallelismBudget::gpu_launches`] /
+    /// [`pg_advisor::ParallelismBudget::cpu_launches`]).
     pub fn flat_index(&self, point: GridPoint) -> usize {
-        point.teams_idx * self.threads_axis.len() + point.threads_idx
+        point.teams_idx * self.threads_axis().len() + point.threads_idx
     }
 
     /// Grid point of a flat index (inverse of [`SearchSpace::flat_index`]).
     pub fn point_from_flat(&self, flat: usize) -> GridPoint {
+        let width = self.threads_axis().len();
         GridPoint {
-            teams_idx: flat / self.threads_axis.len(),
-            threads_idx: flat % self.threads_axis.len(),
+            teams_idx: flat / width,
+            threads_idx: flat % width,
         }
     }
 
@@ -190,7 +104,7 @@ impl SearchSpace {
                 ..point
             });
         }
-        if point.teams_idx + 1 < self.teams_axis.len() {
+        if point.teams_idx + 1 < self.teams_axis().len() {
             out.push(GridPoint {
                 teams_idx: point.teams_idx + 1,
                 ..point
@@ -202,7 +116,7 @@ impl SearchSpace {
                 ..point
             });
         }
-        if point.threads_idx + 1 < self.threads_axis.len() {
+        if point.threads_idx + 1 < self.threads_axis().len() {
             out.push(GridPoint {
                 threads_idx: point.threads_idx + 1,
                 ..point
@@ -216,7 +130,7 @@ impl SearchSpace {
     /// catch monotone landscapes ("more parallelism is always better"), the
     /// centre catches interior optima.
     pub fn seed_points(&self) -> Vec<GridPoint> {
-        let (tmax, hmax) = (self.teams_axis.len() - 1, self.threads_axis.len() - 1);
+        let (tmax, hmax) = (self.teams_axis().len() - 1, self.threads_axis().len() - 1);
         let candidates = [
             GridPoint {
                 teams_idx: tmax / 2,
@@ -249,25 +163,25 @@ impl SearchSpace {
     }
 }
 
-/// The two launch-grid axes of a budget: GPU variants sweep
-/// `teams × threads`; CPU variants sweep threads at one team.
-fn axes_of(budget: &ParallelismBudget, gpu: bool) -> (Vec<u64>, Vec<u64>) {
-    if gpu {
-        (budget.gpu_teams.clone(), budget.gpu_threads.clone())
-    } else {
-        (vec![1], budget.cpu_threads.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pg_advisor::ParallelismBudget;
+    use pg_perfsim::Platform;
+
+    fn build(
+        platform: Platform,
+        kernel: &str,
+        budget: &LaunchBudget,
+    ) -> Result<SearchSpace, EngineError> {
+        let engine = Engine::builder().platform(platform).build();
+        SearchSpace::build(&engine, kernel, None, budget)
+    }
 
     fn space() -> SearchSpace {
-        SearchSpace::build(
+        build(
             Platform::SummitV100,
             "MM/matmul",
-            None,
             &LaunchBudget::PlatformDefault,
         )
         .unwrap()
@@ -277,11 +191,11 @@ mod tests {
     fn grid_matches_the_platform_default_budget() {
         let s = space();
         // V100: 80 SMs -> teams {40, 80, 160}, threads {64, 128, 256}.
-        assert_eq!(s.teams_axis, vec![40, 80, 160]);
-        assert_eq!(s.threads_axis, vec![64, 128, 256]);
+        assert_eq!(s.teams_axis(), [40, 80, 160]);
+        assert_eq!(s.threads_axis(), [64, 128, 256]);
         assert_eq!(s.launch_points(), 9);
         assert_eq!(s.candidates(), 4 * 9); // four GPU variants on matmul
-        assert!(s.variants.iter().all(|v| v.is_gpu()));
+        assert!(s.variants().iter().all(|v| v.is_gpu()));
     }
 
     #[test]
@@ -298,15 +212,14 @@ mod tests {
 
     #[test]
     fn cpu_spaces_have_one_team() {
-        let s = SearchSpace::build(
+        let s = build(
             Platform::SummitPower9,
             "MM/matmul",
-            None,
             &LaunchBudget::PlatformDefault,
         )
         .unwrap();
-        assert_eq!(s.teams_axis, vec![1]);
-        assert!(s.variants.iter().all(|v| !v.is_gpu()));
+        assert_eq!(s.teams_axis(), [1]);
+        assert!(s.variants().iter().all(|v| !v.is_gpu()));
         // 1D grid: neighbours only along the threads axis.
         let p = GridPoint {
             teams_idx: 0,
@@ -323,8 +236,8 @@ mod tests {
         let s = space();
         for p in s.all_points() {
             for n in s.neighbors(p) {
-                assert!(n.teams_idx < s.teams_axis.len());
-                assert!(n.threads_idx < s.threads_axis.len());
+                assert!(n.teams_idx < s.teams_axis().len());
+                assert!(n.threads_idx < s.threads_axis().len());
                 let manhattan =
                     n.teams_idx.abs_diff(p.teams_idx) + n.threads_idx.abs_diff(p.threads_idx);
                 assert_eq!(manhattan, 1);
@@ -336,10 +249,9 @@ mod tests {
         dedup.dedup();
         assert_eq!(dedup.len(), seeds.len());
         // A 1×1 grid still has exactly one seed.
-        let tiny = SearchSpace::build(
+        let tiny = build(
             Platform::SummitV100,
             "MM/matmul",
-            None,
             &LaunchBudget::Fixed(LaunchConfig {
                 teams: 80,
                 threads: 128,
@@ -352,7 +264,7 @@ mod tests {
 
     #[test]
     fn catalogue_spaces_are_never_race_pruned() {
-        assert_eq!(space().race_pruned, 0);
+        assert!(space().race_pruned().is_empty());
     }
 
     #[test]
@@ -367,15 +279,18 @@ mod tests {
                 .replace("= sum;", "= sum + c[(i + 1) * {{N}} + j];")
                 .into_boxed_str(),
         );
-        let err = SearchSpace::build_for_template(
-            mutant,
-            Platform::SummitV100,
-            None,
-            &LaunchBudget::PlatformDefault,
-        )
-        .unwrap_err();
+        let err = Engine::builder()
+            .platform(Platform::SummitV100)
+            .build()
+            .template_space(
+                mutant,
+                None,
+                &LaunchBudget::PlatformDefault,
+                &TraceHandle::disabled(),
+            )
+            .unwrap_err();
         match err {
-            TuneError::AllVariantsRace { kernel, reason } => {
+            EngineError::AllVariantsRace { kernel, reason } => {
                 assert_eq!(kernel, "MM/matmul");
                 assert!(reason.contains("loop-carried-dependence"), "{reason}");
             }
@@ -386,13 +301,12 @@ mod tests {
     #[test]
     fn unknown_kernels_and_empty_budgets_error() {
         assert!(matches!(
-            SearchSpace::build(
+            build(
                 Platform::SummitV100,
                 "Nope/none",
-                None,
                 &LaunchBudget::PlatformDefault
             ),
-            Err(TuneError::UnknownKernel(_))
+            Err(EngineError::UnknownKernel(_))
         ));
         let empty = ParallelismBudget {
             cpu_threads: vec![],
@@ -400,13 +314,12 @@ mod tests {
             gpu_threads: vec![],
         };
         assert!(matches!(
-            SearchSpace::build(
+            build(
                 Platform::SummitV100,
                 "MM/matmul",
-                None,
                 &LaunchBudget::Sweep(empty)
             ),
-            Err(TuneError::EmptyBudget)
+            Err(EngineError::EmptyBudget)
         ));
     }
 }

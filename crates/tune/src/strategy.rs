@@ -48,10 +48,9 @@ impl StrategySpec {
     }
 }
 
-/// Score every candidate in one generation — one `advise_many` over the
-/// whole grid, hence one backend `predict_batch`, exactly like
-/// `Engine::advise` over the same request. The golden baseline the other
-/// strategies are measured against.
+/// Score every candidate in one generation — one backend `predict_batch`
+/// over the whole grid, exactly like `Engine::advise` over the same
+/// request. The golden baseline the other strategies are measured against.
 pub struct Exhaustive;
 
 impl SearchStrategy for Exhaustive {
@@ -240,13 +239,8 @@ mod tests {
 
     fn fixture() -> (Engine, SearchSpace) {
         let engine = Engine::builder().platform(Platform::SummitV100).build();
-        let space = SearchSpace::build(
-            Platform::SummitV100,
-            "MM/matmul",
-            None,
-            &LaunchBudget::PlatformDefault,
-        )
-        .unwrap();
+        let space =
+            SearchSpace::build(&engine, "MM/matmul", None, &LaunchBudget::PlatformDefault).unwrap();
         (engine, space)
     }
 

@@ -152,3 +152,35 @@ proptest! {
         }
     }
 }
+
+/// The space is built lazily: a client-sized grid of 50,000 × 50,000
+/// launches (4 × 2.5e9 = 1e10 candidates) costs each strategy only the
+/// instances its 64-evaluation budget affords, never the grid.
+#[test]
+fn a_ten_billion_candidate_grid_is_never_materialised() {
+    let axis: Vec<u64> = (1..=50_000).collect();
+    let budget = ParallelismBudget {
+        cpu_threads: vec![],
+        gpu_teams: axis.clone(),
+        gpu_threads: axis,
+    };
+    let engine = Engine::builder().platform(Platform::SummitV100).build();
+    for strategy in [
+        StrategySpec::Exhaustive,
+        StrategySpec::beam(),
+        StrategySpec::hillclimb(3),
+    ] {
+        let request = TuneRequest::catalog("MM/matmul")
+            .with_budget(budget.clone())
+            .with_strategy(strategy)
+            .with_limits(Budget::evaluations(64));
+        let report = engine.tune(&request).unwrap();
+        assert_eq!(report.space.candidates, 10_000_000_000);
+        assert!(
+            report.space.evaluated <= 64,
+            "{}: {} evaluations",
+            strategy.name(),
+            report.space.evaluated
+        );
+    }
+}

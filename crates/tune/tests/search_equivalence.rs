@@ -180,3 +180,58 @@ fn beam_reaches_the_exhaustive_optimum_with_at_most_half_the_evaluations() {
         }
     }
 }
+
+/// A template outside the catalogue is tuned over its own instances, not
+/// over the catalogue kernel that shares its name: a matmul whose inner
+/// product runs its k-loop twice tunes, exhaustively, to exactly the
+/// minimum of its own predictions.
+#[test]
+fn exhaustive_search_over_a_non_catalogue_template_scores_its_own_instances() {
+    use pg_engine::LaunchBudget;
+    use pg_obs::TraceHandle;
+    use pg_tune::{Evaluator, Exhaustive, SearchSpace, SearchStrategy};
+
+    let catalogue = pg_kernels::find_kernel("MM/matmul").unwrap();
+    let k_loop = "for (int k = 0; k < {{N}}; k++) {\n                \
+                  sum += a[i * {{N}} + k] * b[k * {{N}} + j];\n            }";
+    let mut mutant = catalogue;
+    mutant.source = Box::leak(
+        catalogue
+            .source
+            .replace(k_loop, &format!("{k_loop}\n            {k_loop}"))
+            .into_boxed_str(),
+    );
+    assert_eq!(mutant.source.matches("for (int k").count(), 2);
+
+    let engine = engine(Platform::SummitV100);
+    let candidates = engine
+        .template_space(
+            mutant,
+            None,
+            &LaunchBudget::PlatformDefault,
+            &TraceHandle::disabled(),
+        )
+        .unwrap();
+    let own_best = engine
+        .predict_instances(&candidates.instances())
+        .into_iter()
+        .map(|prediction| prediction.unwrap())
+        .fold(f64::INFINITY, f64::min);
+    let space = SearchSpace::from(candidates);
+    let mut eval = Evaluator::new(&engine, &space, Budget::default());
+    let stop = Exhaustive.search(&space, &mut eval).unwrap();
+    assert_eq!(stop, StopReason::SpaceExhausted);
+    let best = eval.best().unwrap().predicted_ms;
+    assert_eq!(best.to_bits(), own_best.to_bits(), "{best} vs {own_best}");
+
+    let catalogue_best = engine
+        .advise(&AdviseRequest::catalog("MM/matmul"))
+        .unwrap()
+        .best()
+        .unwrap()
+        .predicted_ms;
+    assert!(
+        best > catalogue_best,
+        "the mutant's {best} ms must not be the catalogue's {catalogue_best} ms"
+    );
+}

@@ -8,10 +8,10 @@
 
 use pg_advisor::{instantiate, LaunchConfig, Variant};
 use pg_analyze::{analyze_source, analyze_source_tolerant, catalogue_tolerances, Severity};
-use pg_engine::LaunchBudget;
+use pg_engine::{Engine, EngineError, LaunchBudget};
 use pg_kernels::{all_kernels, find_kernel};
+use pg_obs::TraceHandle;
 use pg_perfsim::Platform;
-use pg_tune::{SearchSpace, TuneError};
 use proptest::prelude::*;
 
 /// The two catalogue kernels whose idioms the analysis cannot prove safe
@@ -161,8 +161,9 @@ fn seeded_race_mutants_are_rejected_with_span_accurate_diagnostics() {
     }
 }
 
-/// The same mutant at the search-space level: `pg_tune` refuses to build a
-/// space in which every variant is a provable race, naming the rule.
+/// The same mutant at the search-space level: the engine refuses to build
+/// the candidate space that `advise` and `pg_tune` share when every variant
+/// is a provable race, naming the rule.
 #[test]
 fn race_mutant_template_cannot_enter_the_search_space() {
     let mut mutant = find_kernel("MV/matvec").unwrap();
@@ -173,11 +174,18 @@ fn race_mutant_template_cannot_enter_the_search_space() {
             .into_boxed_str(),
     );
     for platform in [Platform::SummitV100, Platform::SummitPower9] {
-        let err =
-            SearchSpace::build_for_template(mutant, platform, None, &LaunchBudget::PlatformDefault)
-                .unwrap_err();
+        let err = Engine::builder()
+            .platform(platform)
+            .build()
+            .template_space(
+                mutant,
+                None,
+                &LaunchBudget::PlatformDefault,
+                &TraceHandle::disabled(),
+            )
+            .unwrap_err();
         match err {
-            TuneError::AllVariantsRace { kernel, reason } => {
+            EngineError::AllVariantsRace { kernel, reason } => {
                 assert_eq!(kernel, "MV/matvec");
                 assert!(reason.contains("loop-carried-dependence"), "{reason}");
             }
