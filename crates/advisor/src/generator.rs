@@ -41,6 +41,22 @@ impl KernelInstance {
         format!("{}/{}", self.application, self.kernel)
     }
 
+    /// The instance's launch-free body (see [`BodyKey`]). Borrows the
+    /// source; the only allocation is the spelled launch clause.
+    pub fn body_key(&self) -> BodyKey<'_> {
+        let clause = self.variant.launch_clause(self.launch);
+        let (head, tail) = match self.source.find(&clause) {
+            Some(at) => (&self.source[..at], Some(&self.source[at + clause.len()..])),
+            None => (self.source.as_str(), None),
+        };
+        BodyKey {
+            head,
+            tail,
+            bytes_to_device: self.bytes_to_device,
+            bytes_from_device: self.bytes_from_device,
+        }
+    }
+
     /// Human-readable identifier including variant and sizes.
     pub fn describe(&self) -> String {
         let mut sizes: Vec<(&String, &i64)> = self.sizes.iter().collect();
@@ -56,6 +72,26 @@ impl KernelInstance {
             self.launch.threads
         )
     }
+}
+
+/// The launch-free body of a [`KernelInstance`]: its source with its own
+/// launch clause ([`Variant::launch_clause`]) cut out, plus its transfer
+/// bytes. Instances of one (kernel, variant, sizes) across a launch sweep
+/// share a body key, and instances with equal keys differ only in the digits
+/// of their launch clauses.
+///
+/// The key is built from content alone, never from a name, and records
+/// where the clause was cut: a source that does not spell its own launch
+/// (a raw source, say) keys to itself and never equals a key with a cut.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct BodyKey<'a> {
+    /// The source before the launch clause, or the whole source when it
+    /// does not spell its launch.
+    head: &'a str,
+    /// The source after the launch clause; `None` when there was no cut.
+    tail: Option<&'a str>,
+    bytes_to_device: u64,
+    bytes_from_device: u64,
 }
 
 /// Controls how large the generated instance set is.
@@ -355,6 +391,92 @@ mod tests {
             },
         );
         assert!(gpu_only.iter().all(|i| i.variant.is_gpu()));
+    }
+
+    #[test]
+    fn body_key_is_equal_across_launches_and_differs_across_variants_and_sizes() {
+        let budget = ParallelismBudget::default();
+        for kernel in all_kernels() {
+            let sweep = kernel.size_sweep();
+            let mut size_points = vec![sweep[0].clone()];
+            if sweep.len() > 1 {
+                size_points.push(sweep[sweep.len() - 1].clone());
+            }
+            // One instance per (variant, sizes, launch), bodies outermost.
+            let mut bodies: Vec<Vec<KernelInstance>> = Vec::new();
+            for variant in Variant::applicable_variants(&kernel) {
+                let launches = if variant.is_gpu() {
+                    budget.gpu_launches()
+                } else {
+                    budget.cpu_launches()
+                };
+                for sizes in &size_points {
+                    bodies.push(
+                        launches
+                            .iter()
+                            .map(|&launch| instantiate(&kernel, variant, sizes, launch))
+                            .collect(),
+                    );
+                }
+            }
+            let mut distinct = std::collections::HashSet::new();
+            for members in &bodies {
+                let key = members[0].body_key();
+                for member in members {
+                    // The pragma spells the launch once, and that is the cut.
+                    let clause = member.variant.launch_clause(member.launch);
+                    assert_eq!(member.source.matches(&clause).count(), 1);
+                    assert!(member.body_key().tail.is_some());
+                    assert_eq!(member.body_key(), key, "{}", member.describe());
+                }
+                assert!(
+                    distinct.insert(key),
+                    "{} shares its body key with another variant or size",
+                    members[0].describe()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_source_that_does_not_spell_its_launch_keys_to_itself() {
+        let raw = |source: &str| KernelInstance {
+            application: "raw".into(),
+            kernel: "f".into(),
+            variant: Variant::Cpu,
+            sizes: HashMap::new(),
+            launch: LaunchConfig {
+                teams: 1,
+                threads: 8,
+            },
+            source: source.to_string(),
+            bytes_to_device: 0,
+            bytes_from_device: 0,
+        };
+        let plain = raw("void f(float *a) {\n#pragma omp parallel for\n\
+             for (int i = 0; i < 64; i++) { a[i] = 0.0; }\n}\n");
+        let key = plain.body_key();
+        assert_eq!((key.head, key.tail), (plain.source.as_str(), None));
+
+        // A source that spells its launch is cut there; the text that
+        // remains, as a source of its own, keys to itself and stays apart.
+        let spelled = raw(
+            "void f(float *a) {\n#pragma omp parallel for num_threads(8)\n\
+             for (int i = 0; i < 64; i++) { a[i] = 0.0; }\n}\n",
+        );
+        let cut = spelled.body_key();
+        let glued = raw(&format!("{}{}", cut.head, cut.tail.unwrap()));
+        assert_eq!(glued.body_key().tail, None);
+        assert_ne!(glued.body_key(), cut);
+        // At another launch the same source is not cut at all.
+        let other = KernelInstance {
+            launch: LaunchConfig {
+                teams: 1,
+                threads: 16,
+            },
+            ..spelled.clone()
+        };
+        assert_eq!(other.body_key().tail, None);
     }
 
     #[test]

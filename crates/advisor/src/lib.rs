@@ -28,7 +28,7 @@ pub mod variant;
 
 pub use gate::{assess_instance, gate_instances, repair_instance, GateOutcome, PrunedVariant};
 pub use generator::{
-    generate_for_kernel, generate_instances, instantiate, GeneratorConfig, KernelInstance,
+    generate_for_kernel, generate_instances, instantiate, BodyKey, GeneratorConfig, KernelInstance,
 };
 pub use launch::{LaunchConfig, ParallelismBudget};
 pub use variant::{map_clauses, Variant};

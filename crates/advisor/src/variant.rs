@@ -1,6 +1,7 @@
 //! The six kernel transformations of the paper (Section IV-A1):
 //! `cpu`, `cpu_collapse`, `gpu`, `gpu_collapse`, `gpu_mem`, `gpu_collapse_mem`.
 
+use crate::launch::LaunchConfig;
 use pg_kernels::{KernelTemplate, TransferDirection};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -85,6 +86,22 @@ impl Variant {
             .collect()
     }
 
+    /// The launch clause of this variant's pragma:
+    /// `num_teams(T) thread_limit(t)` on the GPU, `num_threads(t)` on the
+    /// CPU. This is the one place a launch is spelled, so
+    /// [`KernelInstance::body_key`](crate::KernelInstance::body_key) finds
+    /// exactly the text [`Variant::pragma`] wrote.
+    pub fn launch_clause(self, launch: LaunchConfig) -> String {
+        if self.is_gpu() {
+            format!(
+                "num_teams({}) thread_limit({})",
+                launch.teams, launch.threads
+            )
+        } else {
+            format!("num_threads({})", launch.threads)
+        }
+    }
+
     /// Build the OpenMP pragma line for this variant of `kernel` at the given
     /// problem sizes and launch configuration.
     pub fn pragma(
@@ -98,11 +115,8 @@ impl Variant {
         if self.collapses() {
             clauses.push("collapse(2)".to_string());
         }
-        if self.is_gpu() {
-            clauses.push(format!("num_teams({teams})"));
-            clauses.push(format!("thread_limit({threads})"));
-        } else {
-            clauses.push(format!("num_threads({threads})"));
+        clauses.push(self.launch_clause(LaunchConfig { teams, threads }));
+        if !self.is_gpu() {
             clauses.push("schedule(static)".to_string());
         }
         if self.has_data_transfer() {
@@ -113,11 +127,7 @@ impl Variant {
         } else {
             "#pragma omp parallel for"
         };
-        if clauses.is_empty() {
-            head.to_string()
-        } else {
-            format!("{head} {}", clauses.join(" "))
-        }
+        format!("{head} {}", clauses.join(" "))
     }
 }
 

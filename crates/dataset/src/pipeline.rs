@@ -2,9 +2,9 @@
 //! measurement (simulated) → labelled data points, per platform.
 //!
 //! Since the sharded rewrite, generation is partitioned into deterministic
-//! per-kernel [shards](crate::shard) that fan out across threads, route
-//! measurement through a shared [`pg_engine::Engine`] (one frontend cache
-//! per process, not one parse per instance), and persist completed shards
+//! per-kernel [shards](crate::shard), measured in order through a shared
+//! [`pg_engine::Engine`] whose simulator backend parses each launch-free
+//! body once per shard and fans the bodies out across threads, and persisted
 //! in the [`ShardStore`] so interrupted or
 //! repeated runs resume instead of recompute. The merge is a stable sort
 //! over a total per-point key plus the seeded subsample applied at plan
@@ -289,19 +289,20 @@ fn measurement_engine(
         .build()
 }
 
-/// Capacity of the per-run frontend cache, deliberately far below a
-/// `Full`-scale sweep's distinct-source count. Instance sources embed
-/// their launch pragma, so within one platform run every source is parsed
-/// at most once no matter what the cache holds — LRU churn costs nothing
-/// here. The capacity only bounds how much *cross-run* reuse (a second
-/// platform sharing CPU sources, warm advise traffic on the same cache)
-/// can hit, and bounding it keeps a 29k-instance `Full` run from pinning
-/// tens of thousands of ASTs in memory for a ~30 µs-per-parse saving.
-const GENERATION_CACHE_CAPACITY: usize = 512;
+/// Capacity of the per-run frontend cache. The simulator backend looks up
+/// one representative source per launch-free body, and no body spans two
+/// shards, so a run never hits within itself: a `Full` V100 run makes 1,170
+/// lookups, all misses. Every cached AST stays live until the run ends, so
+/// the cache is kept small: at 512 entries it held 14 MB of that run's
+/// 73 MB peak heap. Nor is LRU churn free, since eviction scans the whole
+/// cache: parsing and analysing all 29,250 of the run's instance sources
+/// through a 512-entry cache took 1,558–1,780 ms, against 1,119–1,205 ms
+/// without it (rayon shim over 2 vCPUs).
+const GENERATION_CACHE_CAPACITY: usize = 64;
 
 /// Sharded generation for one platform: plan deterministic per-kernel
 /// shards, serve completed ones from `store`, measure the rest through a
-/// shared engine (rayon fan-out across shards), persist them, and merge.
+/// shared engine, persist them, and merge.
 ///
 /// The merged dataset is bit-identical to [`collect_platform_unsharded`]
 /// for the same configuration, regardless of which shards were resumed.
@@ -314,8 +315,16 @@ pub fn generate_platform(
     generate_platform_with_cache(platform, config, store, cache)
 }
 
-/// [`generate_platform`] over a caller-supplied frontend cache, so several
-/// runs (one per platform, say) parse each kernel source once per process.
+/// [`generate_platform`] over a caller-supplied frontend cache.
+///
+/// Stored shards load in parallel. Missing shards are measured one after
+/// another, and each shard's instances go to the engine as one batch, which
+/// fans its bodies out across the pool: shard sizes are very uneven, so a
+/// fan-out across shards would leave one thread with most of the work. The
+/// cache is looked up once per launch-free body, with the body's first
+/// instance as the key, so [`GenerationSummary::cache`] counts bodies, not
+/// instances. Another run sharing `cache` hits only where its
+/// representative sources are the same text, launch digits included.
 pub fn generate_platform_with_cache(
     platform: Platform,
     config: &PipelineConfig,
@@ -327,38 +336,28 @@ pub fn generate_platform_with_cache(
     let shards_total = plan.shards.len();
     let engine = measurement_engine(platform, config, cache);
 
-    // Fan shards out across threads. Each shard is either resumed from the
-    // store or measured through the shared engine and persisted. Only
-    // labels hit the disk; points materialize from the in-memory plan.
-    let results: Vec<(bool, usize, Vec<DataPoint>, CacheCounters)> = plan
+    // Only labels hit the disk; points materialize from the in-memory plan.
+    let resumed: Vec<Option<Vec<DataPoint>>> = plan
         .shards
         .par_iter()
-        .map(|shard: &Shard| {
-            if let Some(labels) = store.load(shard) {
-                (true, 0, shard.points(&labels), CacheCounters::default())
-            } else {
-                let (labels, cache_delta) = shard.measure(&engine);
-                store.save(shard, &labels);
-                (
-                    false,
-                    shard.instances.len(),
-                    shard.points(&labels),
-                    cache_delta,
-                )
-            }
-        })
+        .map(|shard: &Shard| store.load(shard).map(|labels| shard.points(&labels)))
         .collect();
-
     let mut shard_hits = 0;
     let mut instances_measured = 0;
     let mut cache_totals = CacheCounters::default();
     let mut points = Vec::with_capacity(plan.instance_count());
-    for (hit, measured, shard_points, cache_delta) in results {
-        shard_hits += usize::from(hit);
-        instances_measured += measured;
+    for (shard, resumed) in plan.shards.iter().zip(resumed) {
+        if let Some(shard_points) = resumed {
+            shard_hits += 1;
+            points.extend(shard_points);
+            continue;
+        }
+        let (labels, cache_delta) = shard.measure(&engine);
+        store.save(shard, &labels);
+        instances_measured += shard.instances.len();
         cache_totals.hits += cache_delta.hits;
         cache_totals.misses += cache_delta.misses;
-        points.extend(shard_points);
+        points.extend(shard.points(&labels));
     }
     let dataset = merge_shard_points(platform, points);
     let summary = GenerationSummary {
@@ -438,8 +437,12 @@ pub fn collect_all(config: &PipelineConfig) -> Vec<PlatformDataset> {
         .collect()
 }
 
-/// Sharded generation for all four platforms, sharing one frontend cache
-/// so each kernel source is parsed once per process.
+/// Sharded generation for all four platforms through one frontend cache.
+///
+/// Each platform parses each launch-free body once. The platforms' launch
+/// grids differ, and so do the representative sources the cache is keyed
+/// by, so at `Default` and `Full` scale the shared cache records no
+/// cross-platform hits; sharing it only bounds the ASTs held at once.
 pub fn generate_all(config: &PipelineConfig, store: &ShardStore) -> Vec<GenerationOutcome> {
     let cache = Arc::new(FrontendCache::new(GENERATION_CACHE_CAPACITY));
     Platform::ALL
@@ -548,6 +551,23 @@ mod tests {
             gpu > cpu,
             "GPU instance count {gpu} must exceed CPU count {cpu}"
         );
+    }
+
+    #[test]
+    fn generation_parses_each_distinct_body_of_its_plan_once() {
+        let config = PipelineConfig::default();
+        for platform in [Platform::SummitV100, Platform::SummitPower9] {
+            let plan = ShardPlan::plan(platform, &config);
+            let bodies: std::collections::HashSet<_> = plan
+                .shards
+                .iter()
+                .flat_map(|shard| shard.instances.iter().map(KernelInstance::body_key))
+                .collect();
+            let outcome = generate_platform(platform, &config, &ShardStore::disabled());
+            assert_eq!(outcome.summary.instances_measured, plan.instance_count());
+            assert!(bodies.len() < plan.instance_count());
+            assert_eq!(outcome.summary.cache.misses as usize, bodies.len());
+        }
     }
 
     #[test]

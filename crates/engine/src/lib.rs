@@ -76,10 +76,11 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 /// frontend, behind one `advise` call.
 ///
 /// The frontend cache is held behind an `Arc` so several engines (one per
-/// platform, say, or one per shard worker) can share a single memo: the
-/// sharded dataset pipeline in `pg-dataset` builds one cache and hands it to
-/// every per-platform engine, so a kernel source parsed for one platform is
-/// a cache hit for every other.
+/// platform, say) can share a single memo: a source parsed through one
+/// engine is a hit for the others while it stays cached. Only the same text
+/// hits, so instances that differ in their launch clauses never share an
+/// entry; the simulator backend instead parses one representative per
+/// launch-free body in each batch.
 pub struct Engine {
     platform: Platform,
     backend: Box<dyn RuntimePredictor>,

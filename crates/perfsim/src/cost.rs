@@ -185,6 +185,43 @@ mod tests {
         assert!(mm.arithmetic_intensity > 3.0 * copy_cost.arithmetic_intensity);
     }
 
+    /// The cost analysis never reads an instance's launch clause, which is
+    /// what lets the simulator backend parse one launch of a body and price
+    /// the body's whole launch sweep from that cost.
+    #[test]
+    fn cost_is_invariant_to_the_launch_clause() {
+        use crate::Platform;
+        for platform in Platform::ALL {
+            let budget = platform.default_budget();
+            let launches = if platform.is_gpu() {
+                budget.gpu_launches()
+            } else {
+                budget.cpu_launches()
+            };
+            let (first, last) = (launches[0], launches[launches.len() - 1]);
+            assert_ne!(first, last);
+            for kernel in pg_kernels::all_kernels() {
+                let sizes = kernel.default_sizes();
+                for variant in Variant::applicable_variants(&kernel) {
+                    if variant.is_gpu() != platform.is_gpu() {
+                        continue;
+                    }
+                    let cost_at = |launch| {
+                        analyze_instance(&instantiate(&kernel, variant, &sizes, launch)).unwrap()
+                    };
+                    assert_eq!(
+                        cost_at(first),
+                        cost_at(last),
+                        "{} [{}] on {}",
+                        kernel.full_name(),
+                        variant.name(),
+                        platform.name()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn serial_source_still_analyzes() {
         let ast =
