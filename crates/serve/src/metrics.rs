@@ -739,6 +739,93 @@ mod tests {
         ));
     }
 
+    /// The whole `/metrics` body for a fixed state, byte for byte: the serve
+    /// families, then the stage family, in the order the route writes them.
+    /// Every scalar family holds a distinct value, batch sizes 1 to 300 reach
+    /// the `+Inf` bucket, and the oldest-waiter stamp stays 0 so the body
+    /// does not depend on the clock. On a mismatch the rendered body is
+    /// written beside the fixture as `metrics.prom.new`.
+    #[test]
+    fn metrics_body_matches_the_golden_fixture() {
+        use pg_analyze::{Diagnostic, Severity};
+        use std::time::Duration;
+        let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/metrics.prom");
+
+        let metrics = ServeMetrics::default();
+        // One extra lone batch keeps batches, batched requests, coalesced
+        // batches and the largest batch four distinct values.
+        for size in (1..=300).chain([1]) {
+            metrics.record_batch(size);
+        }
+        let diag = |rule: &str| Diagnostic {
+            rule: rule.to_string(),
+            severity: Severity::Warning,
+            span: None,
+            message: "x".to_string(),
+        };
+        metrics.record_analysis(
+            &[
+                diag("loop-carried-dependence"),
+                diag("unknown-clause"),
+                diag("loop-carried-dependence"),
+            ],
+            17,
+        );
+        for (atomic, value) in [
+            (&metrics.http_requests, 1001),
+            (&metrics.http_bad_requests, 1002),
+            (&metrics.advise_ok, 1003),
+            (&metrics.advise_failed, 1004),
+            (&metrics.advise_rejected, 1005),
+            (&metrics.parse_rejected, 1006),
+            (&metrics.tune_requests, 1007),
+            (&metrics.tune_ok, 1008),
+            (&metrics.tune_failed, 1009),
+            (&metrics.tune_rejected, 1010),
+            (&metrics.connections_shed, 1011),
+            (&metrics.open_connections, 1012),
+            (&metrics.connections_opened, 1013),
+            (&metrics.conn_timeouts, 1014),
+            (&metrics.epoll_wakeups, 1015),
+            (&metrics.in_flight, 1016),
+            (&metrics.batch_capacity, 256),
+        ] {
+            atomic.store(value, Ordering::Relaxed);
+        }
+
+        let hub = pg_obs::Obs::new(pg_obs::ObsConfig::default());
+        for us in 0..=8 {
+            hub.record_stage(Stage::Parse, Duration::from_micros(us));
+        }
+        hub.record_stage(Stage::Predict, Duration::from_millis(1));
+        hub.record_stage(Stage::Request, Duration::from_secs(1));
+        hub.record_stage(Stage::Request, Duration::from_micros(1 << 30));
+
+        let body = format!(
+            "{}{}",
+            metrics.snapshot().to_prometheus(),
+            crate::metrics::stage_histograms_to_prometheus(&hub.stage_snapshot())
+        );
+        let expected = std::fs::read_to_string(fixture).unwrap_or_default();
+        if body != expected {
+            let fresh = format!("{fixture}.new");
+            std::fs::write(&fresh, &body).expect("write the rendered body");
+            let want: Vec<&str> = expected.lines().collect();
+            let got: Vec<&str> = body.lines().collect();
+            let longest = want.len().max(got.len());
+            let line = (0..longest)
+                .find(|&i| want.get(i) != got.get(i))
+                .unwrap_or(longest);
+            panic!(
+                "/metrics body differs from {fixture} at line {}:\n  fixture:  {:?}\n  \
+                 rendered: {:?}\nthe rendered body is in {fresh}",
+                line + 1,
+                want.get(line),
+                got.get(line)
+            );
+        }
+    }
+
     #[test]
     fn oldest_waiter_gauge_reports_age_and_empty_queue() {
         let metrics = ServeMetrics::default();
