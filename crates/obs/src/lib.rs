@@ -16,7 +16,9 @@
 //!   ([`TraceRecorder`]) served as JSON span trees by `GET /debug/traces`.
 //! * **Histograms** — every finished span also records into a per-[`Stage`]
 //!   log-scale histogram ([`StageHistograms`]) of atomic buckets, exported
-//!   by `/metrics` as `paragraph_stage_duration_seconds{stage=...}`.
+//!   by `/metrics` as `paragraph_stage_duration_seconds{stage=...}`
+//!   ([`stage_histograms_to_prometheus`]). The [`Exposition`] writer that
+//!   renders it is the one every `/metrics` family goes through.
 //! * **Logging** — `key=value` structured lines behind an atomic level
 //!   filter (see [`log`] and the [`error!`]/[`warn!`]/[`info!`]/[`debug!`]
 //!   macros).
@@ -39,6 +41,7 @@
 
 pub mod hist;
 pub mod log;
+pub mod prometheus;
 pub mod trace;
 
 pub use hist::{
@@ -46,6 +49,7 @@ pub use hist::{
     FINITE_BUCKETS,
 };
 pub use log::{capture, set_level, Level, LogCapture};
+pub use prometheus::{stage_histograms_to_prometheus, Exposition};
 pub use trace::{
     FinishedTrace, RawSpan, SpanId, SpanNode, TraceHandle, TraceId, TraceRecorder, TraceTree,
     MAX_SPANS_PER_TRACE,

@@ -1,14 +1,23 @@
 //! Serving counters: request accounting, admission-control rejections, and
 //! the micro-batcher's coalescing statistics.
 //!
+//! One table (the private `scalar_metrics!` invocation below) declares each
+//! scalar metric once: its field, Prometheus family, help text and kind. It
+//! expands to [`ServeMetrics`]' atomics, [`MetricsSnapshot`]'s fields, the
+//! copy in [`ServeMetrics::snapshot`] and those families' exposition, so a
+//! new counter is one table line plus its increment. Written by hand beside
+//! it: the batch-size histogram, the per-rule counter and the two derived
+//! gauges (fill ratio and oldest-waiter age).
+//!
 //! Counters are relaxed atomics — they are monotonic tallies, not
-//! synchronization — and a [`MetricsSnapshot`] is a plain copy that the
-//! `/metrics` endpoint renders in Prometheus text exposition format.
+//! synchronization — except the `in_flight` admission gauge, which the
+//! request path moves with `SeqCst`. A [`MetricsSnapshot`] is a plain copy
+//! that the `/metrics` endpoint renders in Prometheus text exposition
+//! format through [`pg_obs::Exposition`].
 
 use pg_analyze::{Diagnostic, RULE_IDS};
-use pg_obs::{HistogramSnapshot, Stage};
+use pg_obs::Exposition;
 use serde::Serialize;
-use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of distinct static-analysis rules ([`pg_analyze::RULE_IDS`]).
@@ -17,74 +26,122 @@ const RULE_COUNT: usize = RULE_IDS.len();
 /// Upper bounds of the coalesced-batch-size histogram buckets (a batch of
 /// size `s` tallies into the first bucket with `bound >= s`; larger
 /// batches land in the implicit `+Inf` overflow).
+///
+/// Batch sizes are exact integers, so these bounds are inclusive: a batch
+/// of 8 counts under `le="8"`. pg-obs's duration histograms differ on
+/// purpose: they truncate to whole µs and export `le = 2^(i+1)` µs for
+/// bucket `[2^i, 2^(i+1))`, a true upper bound only for that truncation.
 pub const BATCH_SIZE_BUCKETS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 
-/// Live counters shared by the listener, the connection workers and the
-/// micro-batcher.
-#[derive(Debug, Default)]
-pub struct ServeMetrics {
-    /// HTTP requests received, any route.
-    pub(crate) http_requests: AtomicU64,
-    /// Requests answered 4xx for malformed HTTP or JSON.
-    pub(crate) http_bad_requests: AtomicU64,
-    /// `/advise` requests admitted and answered 200.
-    pub(crate) advise_ok: AtomicU64,
-    /// `/advise` requests admitted but failed in the engine.
-    pub(crate) advise_failed: AtomicU64,
-    /// `/advise` requests rejected 429 by admission control.
-    pub(crate) advise_rejected: AtomicU64,
-    /// Requests rejected at the untrusted-input boundary: oversized
-    /// bodies (413) and frontend parse-budget violations (422).
-    pub(crate) parse_rejected: AtomicU64,
-    /// `/tune` requests received (admitted or not).
-    pub(crate) tune_requests: AtomicU64,
-    /// `/tune` requests answered 200.
-    pub(crate) tune_ok: AtomicU64,
-    /// `/tune` requests admitted but failed in the tuner.
-    pub(crate) tune_failed: AtomicU64,
-    /// `/tune` requests rejected 429 by admission control.
-    pub(crate) tune_rejected: AtomicU64,
-    /// Connections shed 429 at accept because `max_connections` was
-    /// reached.
-    pub(crate) connections_shed: AtomicU64,
-    /// Connections currently registered with the event loop (gauge).
-    pub(crate) open_connections: AtomicU64,
-    /// Connections accepted into the event loop since start.
-    pub(crate) connections_opened: AtomicU64,
-    /// Connections closed by an idle or header-read/write-progress
-    /// timeout.
-    pub(crate) conn_timeouts: AtomicU64,
-    /// Times the event loop woke from `epoll_wait`.
-    pub(crate) epoll_wakeups: AtomicU64,
-    /// The micro-batcher's configured `max_batch` (gauge; denominator of
-    /// the fill ratio).
-    pub(crate) batch_capacity: AtomicU64,
-    /// POST requests (`/advise` + `/tune`) currently being served — the
-    /// shared admission gauge (gauge).
-    pub(crate) in_flight: AtomicU64,
-    /// Prediction batches executed by the micro-batcher.
-    pub(crate) batches: AtomicU64,
-    /// `/advise` requests that went through the micro-batcher.
-    pub(crate) batched_requests: AtomicU64,
-    /// Batches that coalesced more than one request.
-    pub(crate) coalesced_batches: AtomicU64,
-    /// Largest batch executed so far.
-    pub(crate) max_batch_size: AtomicU64,
-    /// Coalesced-batch-size histogram; bucket `i` counts batches of size
-    /// `<= BATCH_SIZE_BUCKETS[i]` (last slot is the `+Inf` overflow).
-    pub(crate) batch_size_buckets: [AtomicU64; BATCH_SIZE_BUCKETS.len() + 1],
-    /// Variants pruned as provable races by the legality gate, across
-    /// `/advise` and `/tune`.
-    pub(crate) analyze_race_pruned: AtomicU64,
-    /// Static-analysis diagnostics by rule, indexed like
-    /// [`pg_analyze::RULE_IDS`].
-    pub(crate) analyze_rule_counts: [AtomicU64; RULE_COUNT],
-    /// Enqueue timestamp of the oldest request waiting in the batcher
-    /// queue, as `pg_obs::monotonic_us() + 1` (0 means the queue is
-    /// empty). The snapshot turns it into an age — the live "is the
-    /// scheduler keeping up" gauge that the batch-wait *histogram*
-    /// (which only sees completed waits) cannot show.
-    pub(crate) batch_oldest_enqueue_us: AtomicU64,
+/// Expands the table of scalar metrics, grouped by kind and listed in
+/// exposition order within each kind, into the two structs (each with its
+/// hand-written fields after the table's), the loads behind
+/// [`ServeMetrics::snapshot`] and the writers of the table's families.
+macro_rules! scalar_metrics {
+    (
+        counter { $($counter:ident: $counter_family:literal, $counter_help:literal;)* }
+        gauge { $($gauge:ident: $gauge_family:literal, $gauge_help:literal;)* }
+    ) => {
+        /// Live counters shared by the event loop, the connection workers
+        /// and the micro-batcher.
+        #[derive(Debug, Default)]
+        pub struct ServeMetrics {
+            $(#[doc = $counter_help] pub(crate) $counter: AtomicU64,)*
+            $(#[doc = $gauge_help] pub(crate) $gauge: AtomicU64,)*
+            /// Coalesced-batch-size histogram; bucket `i` counts batches of
+            /// size `<= BATCH_SIZE_BUCKETS[i]` (last slot is the `+Inf`
+            /// overflow).
+            pub(crate) batch_size_buckets: [AtomicU64; BATCH_SIZE_BUCKETS.len() + 1],
+            /// Static-analysis diagnostics by rule, indexed like
+            /// [`pg_analyze::RULE_IDS`].
+            pub(crate) analyze_rule_counts: [AtomicU64; RULE_COUNT],
+            /// Enqueue timestamp of the oldest request waiting in the
+            /// batcher queue, as `pg_obs::monotonic_us() + 1` (0 means the
+            /// queue is empty). The snapshot turns it into an age — the live
+            /// "is the scheduler keeping up" gauge that the batch-wait
+            /// *histogram* (which only sees completed waits) cannot show.
+            pub(crate) batch_oldest_enqueue_us: AtomicU64,
+        }
+
+        /// A point-in-time copy of every counter.
+        #[derive(Debug, Clone, PartialEq, Eq, Serialize, Default)]
+        pub struct MetricsSnapshot {
+            $(#[doc = $counter_help] pub $counter: u64,)*
+            $(#[doc = $gauge_help] pub $gauge: u64,)*
+            /// Coalesced-batch-size histogram, non-cumulative, one count per
+            /// [`BATCH_SIZE_BUCKETS`] bound plus a final `+Inf` overflow slot.
+            pub batch_size_buckets: Vec<u64>,
+            /// Static-analysis diagnostics by rule, in
+            /// [`pg_analyze::RULE_IDS`] order (every rule is present, zero or
+            /// not).
+            pub analyze_rule_counts: Vec<RuleCount>,
+            /// Age of the oldest request waiting in the batcher queue at
+            /// snapshot time, microseconds (0 when the queue is empty).
+            pub batch_oldest_wait_us: u64,
+        }
+
+        impl ServeMetrics {
+            /// The table's scalars, every other field left at its default.
+            fn load_scalars(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($counter: self.$counter.load(Ordering::Relaxed),)*
+                    $($gauge: self.$gauge.load(Ordering::Relaxed),)*
+                    ..MetricsSnapshot::default()
+                }
+            }
+        }
+
+        impl MetricsSnapshot {
+            fn write_counters(&self, expo: &mut Exposition) {
+                $(expo.counter($counter_family, $counter_help, self.$counter);)*
+            }
+
+            fn write_gauges(&self, expo: &mut Exposition) {
+                $(expo.gauge($gauge_family, $gauge_help, self.$gauge);)*
+            }
+        }
+    };
+}
+
+scalar_metrics! {
+    counter {
+        http_requests: "paragraph_serve_http_requests_total", "HTTP requests received";
+        http_bad_requests: "paragraph_serve_http_bad_requests_total",
+            "Requests rejected for malformed HTTP or JSON";
+        advise_ok: "paragraph_serve_advise_ok_total", "Advise requests answered 200";
+        advise_failed: "paragraph_serve_advise_failed_total",
+            "Advise requests that failed in the engine";
+        advise_rejected: "paragraph_serve_advise_rejected_total",
+            "Advise requests rejected by admission control";
+        parse_rejected: "paragraph_serve_parse_rejected_total",
+            "Requests rejected at the untrusted-input boundary (oversized body or parse budget)";
+        tune_requests: "paragraph_serve_tune_requests_total", "Tune requests received";
+        tune_ok: "paragraph_serve_tune_ok_total", "Tune requests answered 200";
+        tune_failed: "paragraph_serve_tune_failed_total", "Tune requests that failed in the tuner";
+        tune_rejected: "paragraph_serve_tune_rejected_total",
+            "Tune requests rejected by admission control";
+        connections_shed: "paragraph_serve_connections_shed_total",
+            "Connections shed at accept by the connection limit";
+        connections_opened: "paragraph_serve_connections_opened_total",
+            "Connections accepted into the event loop";
+        conn_timeouts: "paragraph_serve_conn_timeouts_total",
+            "Connections closed by an idle or progress timeout";
+        epoll_wakeups: "paragraph_serve_epoll_wakeups_total", "Event-loop wakeups from epoll_wait";
+        batches: "paragraph_serve_batches_total", "Prediction batches executed";
+        batched_requests: "paragraph_serve_batched_requests_total",
+            "Advise requests served through the micro-batcher";
+        coalesced_batches: "paragraph_serve_coalesced_batches_total",
+            "Batches that coalesced more than one request";
+        analyze_race_pruned: "paragraph_serve_analyze_race_pruned_total",
+            "Variants pruned as provable races by the legality gate";
+    }
+    gauge {
+        in_flight: "paragraph_serve_in_flight", "POST requests (advise + tune) currently in flight";
+        max_batch_size: "paragraph_serve_max_batch_size", "Largest batch executed";
+        open_connections: "paragraph_serve_open_connections",
+            "Connections registered with the event loop";
+        batch_capacity: "paragraph_serve_batch_capacity", "Configured micro-batcher max_batch";
+    }
 }
 
 /// Diagnostics tallied against one static-analysis rule.
@@ -94,66 +151,6 @@ pub struct RuleCount {
     pub rule: String,
     /// Diagnostics of this rule surfaced so far.
     pub count: u64,
-}
-
-/// A point-in-time copy of every counter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Default)]
-pub struct MetricsSnapshot {
-    /// HTTP requests received, any route.
-    pub http_requests: u64,
-    /// Requests answered 4xx for malformed HTTP or JSON.
-    pub http_bad_requests: u64,
-    /// `/advise` requests answered 200.
-    pub advise_ok: u64,
-    /// `/advise` requests that failed in the engine.
-    pub advise_failed: u64,
-    /// `/advise` requests rejected 429 by admission control.
-    pub advise_rejected: u64,
-    /// Requests rejected at the untrusted-input boundary (oversized
-    /// body or parse-budget violation).
-    pub parse_rejected: u64,
-    /// `/tune` requests received (admitted or not).
-    pub tune_requests: u64,
-    /// `/tune` requests answered 200.
-    pub tune_ok: u64,
-    /// `/tune` requests that failed in the tuner.
-    pub tune_failed: u64,
-    /// `/tune` requests rejected 429 by admission control.
-    pub tune_rejected: u64,
-    /// Connections shed 429 at accept (`max_connections` reached).
-    pub connections_shed: u64,
-    /// Connections currently registered with the event loop (gauge).
-    pub open_connections: u64,
-    /// Connections accepted into the event loop since start.
-    pub connections_opened: u64,
-    /// Connections closed by an idle or progress timeout.
-    pub conn_timeouts: u64,
-    /// Times the event loop woke from `epoll_wait`.
-    pub epoll_wakeups: u64,
-    /// The micro-batcher's configured `max_batch`.
-    pub batch_capacity: u64,
-    /// POST requests (`/advise` + `/tune`) currently in flight (the
-    /// shared admission gauge).
-    pub in_flight: u64,
-    /// Prediction batches executed.
-    pub batches: u64,
-    /// Requests that went through the micro-batcher.
-    pub batched_requests: u64,
-    /// Batches that coalesced more than one request.
-    pub coalesced_batches: u64,
-    /// Largest batch executed.
-    pub max_batch_size: u64,
-    /// Coalesced-batch-size histogram, non-cumulative, one count per
-    /// [`BATCH_SIZE_BUCKETS`] bound plus a final `+Inf` overflow slot.
-    pub batch_size_buckets: Vec<u64>,
-    /// Variants pruned as provable races by the legality gate.
-    pub analyze_race_pruned: u64,
-    /// Static-analysis diagnostics by rule, in [`pg_analyze::RULE_IDS`]
-    /// order (every rule is present, zero or not).
-    pub analyze_rule_counts: Vec<RuleCount>,
-    /// Age of the oldest request waiting in the batcher queue at snapshot
-    /// time, microseconds (0 when the queue is empty).
-    pub batch_oldest_wait_us: u64,
 }
 
 impl ServeMetrics {
@@ -190,33 +187,11 @@ impl ServeMetrics {
     /// Copy every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            http_requests: self.http_requests.load(Ordering::Relaxed),
-            http_bad_requests: self.http_bad_requests.load(Ordering::Relaxed),
-            advise_ok: self.advise_ok.load(Ordering::Relaxed),
-            advise_failed: self.advise_failed.load(Ordering::Relaxed),
-            advise_rejected: self.advise_rejected.load(Ordering::Relaxed),
-            parse_rejected: self.parse_rejected.load(Ordering::Relaxed),
-            tune_requests: self.tune_requests.load(Ordering::Relaxed),
-            tune_ok: self.tune_ok.load(Ordering::Relaxed),
-            tune_failed: self.tune_failed.load(Ordering::Relaxed),
-            tune_rejected: self.tune_rejected.load(Ordering::Relaxed),
-            connections_shed: self.connections_shed.load(Ordering::Relaxed),
-            open_connections: self.open_connections.load(Ordering::Relaxed),
-            connections_opened: self.connections_opened.load(Ordering::Relaxed),
-            conn_timeouts: self.conn_timeouts.load(Ordering::Relaxed),
-            epoll_wakeups: self.epoll_wakeups.load(Ordering::Relaxed),
-            batch_capacity: self.batch_capacity.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
-            coalesced_batches: self.coalesced_batches.load(Ordering::Relaxed),
-            max_batch_size: self.max_batch_size.load(Ordering::Relaxed),
             batch_size_buckets: self
                 .batch_size_buckets
                 .iter()
                 .map(|count| count.load(Ordering::Relaxed))
                 .collect(),
-            analyze_race_pruned: self.analyze_race_pruned.load(Ordering::Relaxed),
             analyze_rule_counts: RULE_IDS
                 .iter()
                 .zip(&self.analyze_rule_counts)
@@ -229,134 +204,16 @@ impl ServeMetrics {
                 0 => 0,
                 stamp => pg_obs::monotonic_us().saturating_sub(stamp - 1),
             },
+            ..self.load_scalars()
         }
     }
-}
-
-/// Incremental Prometheus text-exposition builder: every family gets its
-/// `# HELP`/`# TYPE` header exactly once, immediately before its samples.
-/// Replaces the repeated ad-hoc `String` pushes the endpoint grew by
-/// accretion — a family cannot forget its metadata anymore, because the
-/// only way to emit samples is through a typed family method.
-pub(crate) struct Exposition {
-    out: String,
-}
-
-impl Exposition {
-    pub(crate) fn new() -> Self {
-        Self { out: String::new() }
-    }
-
-    fn header(&mut self, name: &str, help: &str, kind: &str) {
-        self.out
-            .push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-    }
-
-    /// A single-sample counter family.
-    pub(crate) fn counter(&mut self, name: &str, help: &str, value: u64) {
-        self.header(name, help, "counter");
-        self.out.push_str(&format!("{name} {value}\n"));
-    }
-
-    /// A single-sample gauge family (`Display` covers u64 and formatted
-    /// floats alike).
-    pub(crate) fn gauge(&mut self, name: &str, help: &str, value: impl Display) {
-        self.header(name, help, "gauge");
-        self.out.push_str(&format!("{name} {value}\n"));
-    }
-
-    /// A counter family with one `{key="value"}` label per sample.
-    pub(crate) fn labeled_counter(
-        &mut self,
-        name: &str,
-        help: &str,
-        key: &str,
-        rows: impl IntoIterator<Item = (String, u64)>,
-    ) {
-        self.header(name, help, "counter");
-        for (label, value) in rows {
-            self.out
-                .push_str(&format!("{name}{{{key}=\"{label}\"}} {value}\n"));
-        }
-    }
-
-    /// One histogram series: cumulative `_bucket` samples (the last bound
-    /// must be `+Inf`), then `_sum` and `_count`. `labels` is the rendered
-    /// label set shared by every sample (empty for an unlabelled family);
-    /// the `# HELP`/`# TYPE` header is the caller's job via
-    /// [`Exposition::histogram_header`], so multi-series families (one per
-    /// stage) emit it exactly once.
-    pub(crate) fn histogram_series(
-        &mut self,
-        name: &str,
-        labels: &str,
-        buckets: impl IntoIterator<Item = (String, u64)>,
-        sum: impl Display,
-        count: u64,
-    ) {
-        let sep = if labels.is_empty() { "" } else { "," };
-        for (bound, cumulative) in buckets {
-            self.out.push_str(&format!(
-                "{name}_bucket{{{labels}{sep}le=\"{bound}\"}} {cumulative}\n"
-            ));
-        }
-        let braces = if labels.is_empty() {
-            String::new()
-        } else {
-            format!("{{{labels}}}")
-        };
-        self.out.push_str(&format!(
-            "{name}_sum{braces} {sum}\n{name}_count{braces} {count}\n"
-        ));
-    }
-
-    /// The `# HELP`/`# TYPE` header of a histogram family.
-    pub(crate) fn histogram_header(&mut self, name: &str, help: &str) {
-        self.header(name, help, "histogram");
-    }
-
-    pub(crate) fn finish(self) -> String {
-        self.out
-    }
-}
-
-/// Render the per-stage duration histograms (from
-/// [`pg_obs::Obs::stage_snapshot`]) as one labelled Prometheus histogram
-/// family, `paragraph_stage_duration_seconds{stage="..."}`. Every stage is
-/// present even at zero count, so dashboards and the exposition test see a
-/// stable family shape.
-pub fn stage_histograms_to_prometheus(stages: &[(Stage, HistogramSnapshot)]) -> String {
-    let mut expo = Exposition::new();
-    expo.histogram_header(
-        "paragraph_stage_duration_seconds",
-        "Stage latency distributions across the serving pipeline",
-    );
-    for (stage, snapshot) in stages {
-        let buckets = snapshot.cumulative().into_iter().map(|(bound, count)| {
-            let bound = if bound.is_infinite() {
-                "+Inf".to_string()
-            } else {
-                format!("{bound}")
-            };
-            (bound, count)
-        });
-        expo.histogram_series(
-            "paragraph_stage_duration_seconds",
-            &format!("stage=\"{}\"", stage.name()),
-            buckets,
-            format!("{:.6}", snapshot.sum_us as f64 / 1e6),
-            snapshot.count,
-        );
-    }
-    expo.finish()
 }
 
 impl MetricsSnapshot {
     /// Mean fraction of the batch cap that executed batches actually
     /// filled: `batched_requests / (batches * batch_capacity)`. Zero until
-    /// the first batch runs. The PR 4 blind spot this closes: a cap that
-    /// never fills means the backend's batched path is starved, and
-    /// nothing on `/metrics` said so.
+    /// the first batch runs. A cap that never fills means the backend's
+    /// batched path is starved.
     pub fn batch_fill_ratio(&self) -> f64 {
         let denominator = self.batches.saturating_mul(self.batch_capacity);
         if denominator == 0 {
@@ -366,100 +223,14 @@ impl MetricsSnapshot {
     }
 
     /// Render in Prometheus text exposition format (what `GET /metrics`
-    /// returns). The per-stage duration histograms live in
-    /// [`stage_histograms_to_prometheus`]; the endpoint concatenates both.
+    /// returns): the table's counters, the per-rule counter, the table's
+    /// gauges, the two derived gauges and the batch-size histogram. The
+    /// per-stage duration histograms live in
+    /// [`pg_obs::stage_histograms_to_prometheus`]; the endpoint
+    /// concatenates both.
     pub fn to_prometheus(&self) -> String {
-        let mut expo = Exposition::new();
-        expo.counter(
-            "paragraph_serve_http_requests_total",
-            "HTTP requests received",
-            self.http_requests,
-        );
-        expo.counter(
-            "paragraph_serve_http_bad_requests_total",
-            "Requests rejected for malformed HTTP or JSON",
-            self.http_bad_requests,
-        );
-        expo.counter(
-            "paragraph_serve_advise_ok_total",
-            "Advise requests answered 200",
-            self.advise_ok,
-        );
-        expo.counter(
-            "paragraph_serve_advise_failed_total",
-            "Advise requests that failed in the engine",
-            self.advise_failed,
-        );
-        expo.counter(
-            "paragraph_serve_advise_rejected_total",
-            "Advise requests rejected by admission control",
-            self.advise_rejected,
-        );
-        expo.counter(
-            "paragraph_serve_parse_rejected_total",
-            "Requests rejected at the untrusted-input boundary (oversized body or parse budget)",
-            self.parse_rejected,
-        );
-        expo.counter(
-            "paragraph_serve_tune_requests_total",
-            "Tune requests received",
-            self.tune_requests,
-        );
-        expo.counter(
-            "paragraph_serve_tune_ok_total",
-            "Tune requests answered 200",
-            self.tune_ok,
-        );
-        expo.counter(
-            "paragraph_serve_tune_failed_total",
-            "Tune requests that failed in the tuner",
-            self.tune_failed,
-        );
-        expo.counter(
-            "paragraph_serve_tune_rejected_total",
-            "Tune requests rejected by admission control",
-            self.tune_rejected,
-        );
-        expo.counter(
-            "paragraph_serve_connections_shed_total",
-            "Connections shed at accept by the connection limit",
-            self.connections_shed,
-        );
-        expo.counter(
-            "paragraph_serve_connections_opened_total",
-            "Connections accepted into the event loop",
-            self.connections_opened,
-        );
-        expo.counter(
-            "paragraph_serve_conn_timeouts_total",
-            "Connections closed by an idle or progress timeout",
-            self.conn_timeouts,
-        );
-        expo.counter(
-            "paragraph_serve_epoll_wakeups_total",
-            "Event-loop wakeups from epoll_wait",
-            self.epoll_wakeups,
-        );
-        expo.counter(
-            "paragraph_serve_batches_total",
-            "Prediction batches executed",
-            self.batches,
-        );
-        expo.counter(
-            "paragraph_serve_batched_requests_total",
-            "Advise requests served through the micro-batcher",
-            self.batched_requests,
-        );
-        expo.counter(
-            "paragraph_serve_coalesced_batches_total",
-            "Batches that coalesced more than one request",
-            self.coalesced_batches,
-        );
-        expo.counter(
-            "paragraph_serve_analyze_race_pruned_total",
-            "Variants pruned as provable races by the legality gate",
-            self.analyze_race_pruned,
-        );
+        let mut expo = Exposition::default();
+        self.write_counters(&mut expo);
         expo.labeled_counter(
             "paragraph_serve_analyze_rule_total",
             "Static-analysis diagnostics by rule",
@@ -468,26 +239,7 @@ impl MetricsSnapshot {
                 .iter()
                 .map(|r| (r.rule.clone(), r.count)),
         );
-        expo.gauge(
-            "paragraph_serve_in_flight",
-            "POST requests (advise + tune) currently in flight",
-            self.in_flight,
-        );
-        expo.gauge(
-            "paragraph_serve_max_batch_size",
-            "Largest batch executed",
-            self.max_batch_size,
-        );
-        expo.gauge(
-            "paragraph_serve_open_connections",
-            "Connections registered with the event loop",
-            self.open_connections,
-        );
-        expo.gauge(
-            "paragraph_serve_batch_capacity",
-            "Configured micro-batcher max_batch",
-            self.batch_capacity,
-        );
+        self.write_gauges(&mut expo);
         expo.gauge(
             "paragraph_serve_batch_fill_ratio",
             "Mean fraction of the batch cap filled",
@@ -532,6 +284,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pg_obs::Stage;
 
     #[test]
     fn batch_accounting_tracks_coalescing() {
@@ -650,7 +403,7 @@ mod tests {
         let text = format!(
             "{}{}",
             metrics.snapshot().to_prometheus(),
-            stage_histograms_to_prometheus(&hub.stage_snapshot())
+            pg_obs::stage_histograms_to_prometheus(&hub.stage_snapshot())
         );
 
         let mut helped: HashSet<String> = HashSet::new();
@@ -708,35 +461,6 @@ mod tests {
             );
         }
         assert_eq!(helped, typed, "every HELP family must also have a TYPE");
-    }
-
-    #[test]
-    fn stage_histograms_render_every_stage_with_cumulative_buckets() {
-        let hub = pg_obs::Obs::new(pg_obs::ObsConfig::default());
-        hub.record_stage(Stage::BatchWait, std::time::Duration::from_micros(3));
-        hub.record_stage(Stage::BatchWait, std::time::Duration::from_micros(5));
-        let text = stage_histograms_to_prometheus(&hub.stage_snapshot());
-        // One header for the whole family, one series per stage.
-        assert_eq!(
-            text.matches("# TYPE paragraph_stage_duration_seconds")
-                .count(),
-            1
-        );
-        for stage in Stage::ALL {
-            assert!(
-                text.contains(&format!(
-                    "paragraph_stage_duration_seconds_count{{stage=\"{}\"}}",
-                    stage.name()
-                )),
-                "missing stage {} in:\n{text}",
-                stage.name()
-            );
-        }
-        assert!(text.contains("paragraph_stage_duration_seconds_count{stage=\"batch_wait\"} 2"));
-        // Both 3us and 5us land at or below the 8us bound; +Inf sees both.
-        assert!(text.contains(
-            "paragraph_stage_duration_seconds_bucket{stage=\"batch_wait\",le=\"+Inf\"} 2"
-        ));
     }
 
     /// The whole `/metrics` body for a fixed state, byte for byte: the serve
@@ -804,7 +528,7 @@ mod tests {
         let body = format!(
             "{}{}",
             metrics.snapshot().to_prometheus(),
-            crate::metrics::stage_histograms_to_prometheus(&hub.stage_snapshot())
+            pg_obs::stage_histograms_to_prometheus(&hub.stage_snapshot())
         );
         let expected = std::fs::read_to_string(fixture).unwrap_or_default();
         if body != expected {

@@ -304,7 +304,7 @@ fn route(shared: &Arc<Shared>, item: WorkItem) {
             // Serving counters first, then the per-stage duration
             // histograms the observability hub collected across every tier.
             let mut text = shared.metrics.snapshot().to_prometheus();
-            text.push_str(&crate::metrics::stage_histograms_to_prometheus(
+            text.push_str(&pg_obs::stage_histograms_to_prometheus(
                 &obs().stage_snapshot(),
             ));
             shared.complete(token, Response::text(200, text), close, slot);
