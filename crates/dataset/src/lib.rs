@@ -29,8 +29,8 @@ pub mod store;
 pub use datapoint::DataPoint;
 pub use pipeline::{
     budget_for, collect_all, collect_platform, collect_platform_unsharded, generate_all,
-    generate_platform, generate_platform_with_cache, instances_for, merge_shard_points,
-    DatasetScale, GenerationOutcome, GenerationSummary, PipelineConfig, PlatformDataset,
+    generate_platform, instances_for, merge_shard_points, DatasetScale, GenerationOutcome,
+    GenerationSummary, PipelineConfig, PlatformDataset,
 };
 pub use shard::{Shard, ShardKey, ShardLabel, ShardPlan};
 pub use stats::PlatformStats;

@@ -17,7 +17,7 @@ use crate::shard::{Shard, ShardPlan};
 use crate::stats::PlatformStats;
 use crate::store::ShardStore;
 use pg_advisor::{generate_instances, GeneratorConfig, KernelInstance, ParallelismBudget};
-use pg_engine::{CacheCounters, Engine, FrontendCache, SimulatorBackend};
+use pg_engine::{CacheCounters, Engine, SimulatorBackend};
 use pg_kernels::all_kernels;
 use pg_perfsim::{measure, NoiseModel, Platform};
 use rand::rngs::StdRng;
@@ -25,7 +25,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// How large a dataset to generate.
@@ -272,20 +271,15 @@ pub fn merge_shard_points(platform: Platform, mut points: Vec<DataPoint>) -> Pla
 
 /// The engine a generation run measures through: the run's platform, the
 /// noisy simulator backend (bit-identical to [`pg_perfsim::measure`]) and a
-/// frontend cache — shared across shards, and across platforms when the
-/// caller passes the same handle to several runs.
-fn measurement_engine(
-    platform: Platform,
-    config: &PipelineConfig,
-    cache: Arc<FrontendCache>,
-) -> Engine {
+/// small frontend cache shared across the run's shards.
+fn measurement_engine(platform: Platform, config: &PipelineConfig) -> Engine {
     Engine::builder()
         .platform(platform)
         .backend(SimulatorBackend::new(NoiseModel {
             sigma: config.noise_sigma,
             seed: config.seed,
         }))
-        .shared_cache(cache)
+        .cache_capacity(GENERATION_CACHE_CAPACITY)
         .build()
 }
 
@@ -306,35 +300,23 @@ const GENERATION_CACHE_CAPACITY: usize = 64;
 ///
 /// The merged dataset is bit-identical to [`collect_platform_unsharded`]
 /// for the same configuration, regardless of which shards were resumed.
-pub fn generate_platform(
-    platform: Platform,
-    config: &PipelineConfig,
-    store: &ShardStore,
-) -> GenerationOutcome {
-    let cache = Arc::new(FrontendCache::new(GENERATION_CACHE_CAPACITY));
-    generate_platform_with_cache(platform, config, store, cache)
-}
-
-/// [`generate_platform`] over a caller-supplied frontend cache.
 ///
 /// Stored shards load in parallel. Missing shards are measured one after
 /// another, and each shard's instances go to the engine as one batch, which
 /// fans its bodies out across the pool: shard sizes are very uneven, so a
 /// fan-out across shards would leave one thread with most of the work. The
-/// cache is looked up once per launch-free body, with the body's first
-/// instance as the key, so [`GenerationSummary::cache`] counts bodies, not
-/// instances. Another run sharing `cache` hits only where its
-/// representative sources are the same text, launch digits included.
-pub fn generate_platform_with_cache(
+/// frontend cache is looked up once per launch-free body, with the body's
+/// first instance as the key, so [`GenerationSummary::cache`] counts bodies,
+/// not instances.
+pub fn generate_platform(
     platform: Platform,
     config: &PipelineConfig,
     store: &ShardStore,
-    cache: Arc<FrontendCache>,
 ) -> GenerationOutcome {
     let started = Instant::now();
     let plan = ShardPlan::plan(platform, config);
     let shards_total = plan.shards.len();
-    let engine = measurement_engine(platform, config, cache);
+    let engine = measurement_engine(platform, config);
 
     // Only labels hit the disk; points materialize from the in-memory plan.
     let resumed: Vec<Option<Vec<DataPoint>>> = plan
@@ -428,8 +410,8 @@ pub fn collect_platform_unsharded(platform: Platform, config: &PipelineConfig) -
     merge_shard_points(platform, points)
 }
 
-/// Collect the datasets of all four platforms through one shared frontend
-/// cache and the workspace-default shard store.
+/// Collect the datasets of all four platforms through the
+/// workspace-default shard store.
 pub fn collect_all(config: &PipelineConfig) -> Vec<PlatformDataset> {
     generate_all(config, &ShardStore::default_location())
         .into_iter()
@@ -437,17 +419,12 @@ pub fn collect_all(config: &PipelineConfig) -> Vec<PlatformDataset> {
         .collect()
 }
 
-/// Sharded generation for all four platforms through one frontend cache.
-///
-/// Each platform parses each launch-free body once. The platforms' launch
-/// grids differ, and so do the representative sources the cache is keyed
-/// by, so at `Default` and `Full` scale the shared cache records no
-/// cross-platform hits; sharing it only bounds the ASTs held at once.
+/// Sharded generation for all four platforms, one [`generate_platform`]
+/// run each, in [`Platform::ALL`] order.
 pub fn generate_all(config: &PipelineConfig, store: &ShardStore) -> Vec<GenerationOutcome> {
-    let cache = Arc::new(FrontendCache::new(GENERATION_CACHE_CAPACITY));
     Platform::ALL
         .iter()
-        .map(|&p| generate_platform_with_cache(p, config, store, Arc::clone(&cache)))
+        .map(|&p| generate_platform(p, config, store))
         .collect()
 }
 

@@ -74,17 +74,10 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// The serving facade: a platform, a prediction backend, and a memoized
 /// frontend, behind one `advise` call.
-///
-/// The frontend cache is held behind an `Arc` so several engines (one per
-/// platform, say) can share a single memo: a source parsed through one
-/// engine is a hit for the others while it stays cached. Only the same text
-/// hits, so instances that differ in their launch clauses never share an
-/// entry; the simulator backend instead parses one representative per
-/// launch-free body in each batch.
 pub struct Engine {
     platform: Platform,
     backend: Box<dyn RuntimePredictor>,
-    cache: Arc<FrontendCache>,
+    cache: FrontendCache,
     analysis_gate: bool,
     /// Memoized legality analysis keyed by (kernel name, source): analysing
     /// a variant costs far more than a warm advise, so repeated requests
@@ -98,7 +91,6 @@ pub struct EngineBuilder {
     platform: Platform,
     backend: Option<Box<dyn RuntimePredictor>>,
     cache_capacity: usize,
-    shared_cache: Option<Arc<FrontendCache>>,
     analysis_gate: bool,
     parse_options: pg_frontend::ParseOptions,
 }
@@ -117,18 +109,9 @@ impl EngineBuilder {
     }
 
     /// Entries per frontend-cache layer (default
-    /// [`DEFAULT_CACHE_CAPACITY`]). Ignored when a
-    /// [`shared_cache`](EngineBuilder::shared_cache) is supplied.
+    /// [`DEFAULT_CACHE_CAPACITY`]).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Share an existing frontend cache instead of building a private one —
-    /// engines sharing a cache share parsed ASTs and built graphs, so the
-    /// same kernel source is parsed once per process, not once per engine.
-    pub fn shared_cache(mut self, cache: Arc<FrontendCache>) -> Self {
-        self.shared_cache = Some(cache);
         self
     }
 
@@ -141,10 +124,7 @@ impl EngineBuilder {
     }
 
     /// Per-request parse budget for raw (uncatalogued) sources (default:
-    /// [`pg_frontend::ParseOptions::default`]). Ignored when a
-    /// [`shared_cache`](EngineBuilder::shared_cache) is supplied — the
-    /// shared cache's own budget wins, since cached ASTs must all have
-    /// been admitted under one policy.
+    /// [`pg_frontend::ParseOptions::default`]).
     pub fn parse_options(mut self, options: pg_frontend::ParseOptions) -> Self {
         self.parse_options = options;
         self
@@ -157,12 +137,7 @@ impl EngineBuilder {
             backend: self
                 .backend
                 .unwrap_or_else(|| Box::new(SimulatorBackend::noise_free())),
-            cache: self.shared_cache.unwrap_or_else(|| {
-                Arc::new(FrontendCache::with_parse_options(
-                    self.cache_capacity,
-                    self.parse_options,
-                ))
-            }),
+            cache: FrontendCache::with_parse_options(self.cache_capacity, self.parse_options),
             analysis_gate: self.analysis_gate,
             analysis_memo: Mutex::new(LruCache::new(self.cache_capacity)),
         }
@@ -176,7 +151,6 @@ impl Engine {
             platform: Platform::SummitV100,
             backend: None,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            shared_cache: None,
             analysis_gate: true,
             parse_options: pg_frontend::ParseOptions::default(),
         }
