@@ -25,7 +25,8 @@
 //!
 //! Four routes: `POST /advise` and `POST /tune` (the engine's and tuner's
 //! own serde types as the wire format), `GET /healthz`, `GET /metrics`
-//! (Prometheus text). `/tune` runs a budgeted `pg_tune` search with the
+//! (Prometheus text; one table in [`metrics`] declares every scalar serve
+//! metric). `/tune` runs a budgeted `pg_tune` search with the
 //! shared engine as cost model (it batches internally — one backend call
 //! per search generation — so it bypasses the micro-batcher but shares the
 //! admission gauge). Admission control bounds in-flight requests across
