@@ -12,6 +12,7 @@ use crate::launch::{LaunchConfig, ParallelismBudget};
 use crate::variant::Variant;
 use pg_kernels::KernelTemplate;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A fully instantiated kernel variant ready to be "compiled and run".
@@ -45,7 +46,7 @@ impl KernelInstance {
     /// source; the only allocation is the spelled launch clause.
     pub fn body_key(&self) -> BodyKey<'_> {
         let clause = self.variant.launch_clause(self.launch);
-        let (head, tail) = match self.source.find(&clause) {
+        let (head, tail) = match launch_clause_at(&self.source, &clause) {
             Some(at) => (&self.source[..at], Some(&self.source[at + clause.len()..])),
             None => (self.source.as_str(), None),
         };
@@ -80,6 +81,12 @@ impl KernelInstance {
 /// share a body key, and instances with equal keys differ only in the digits
 /// of their launch clauses.
 ///
+/// The clause is cut only from a `#pragma omp` line, as the frontend lexes
+/// one (never from a comment, a literal or code), and only when that line
+/// spells no other launch clause. The body's pragma then names no launch at
+/// all, so a graph builder given the instance's launch in its config reads
+/// exactly what it reads from the source's pragma.
+///
 /// The key is built from content alone, never from a name, and records
 /// where the clause was cut: a source that does not spell its own launch
 /// (a raw source, say) keys to itself and never equals a key with a cut.
@@ -92,6 +99,78 @@ pub struct BodyKey<'a> {
     tail: Option<&'a str>,
     bytes_to_device: u64,
     bytes_from_device: u64,
+}
+
+impl<'a> BodyKey<'a> {
+    /// The body as source text: borrowed when the source does not spell its
+    /// launch (the body is the source itself), owned when the clause was
+    /// cut out. A pragma line is one token, so the body has the source's
+    /// tokens, AST nodes and nesting depth; only its length differs.
+    pub fn text(&self) -> Cow<'a, str> {
+        match self.tail {
+            Some(tail) => Cow::Owned([self.head, tail].concat()),
+            None => Cow::Borrowed(self.head),
+        }
+    }
+}
+
+/// Clause names that set a launch. A pragma line that spells one besides
+/// the cut clause would keep deciding the launch after the cut.
+const LAUNCH_CLAUSE_NAMES: [&str; 3] = ["num_threads", "num_teams", "thread_limit"];
+
+/// Byte offset of `clause` in the first `#pragma omp` line of `source` that
+/// spells it, when that line spells no other launch clause.
+///
+/// Lines are found the way the frontend's lexer finds them: comments and
+/// string or character literals are skipped, and a `#` outside them starts
+/// a directive that runs to the end of its line (a backslash-newline
+/// continues it).
+fn launch_clause_at(source: &str, clause: &str) -> Option<usize> {
+    let bytes = source.as_bytes();
+    let past = |from: usize, pattern: &str| {
+        source[from..]
+            .find(pattern)
+            .map_or(bytes.len(), |at| from + at + pattern.len())
+    };
+    let mut i = 0;
+    while i < bytes.len() {
+        i = match (bytes[i], bytes.get(i + 1)) {
+            (b'/', Some(b'/')) => past(i, "\n"),
+            (b'/', Some(b'*')) => past(i + 2, "*/"),
+            (quote @ (b'"' | b'\''), _) => {
+                let mut j = i + 1;
+                while j < bytes.len() && bytes[j] != quote {
+                    j += if bytes[j] == b'\\' { 2 } else { 1 };
+                }
+                j + 1
+            }
+            (b'#', _) => {
+                let mut end = i + 1;
+                while end < bytes.len() && bytes[end] != b'\n' {
+                    end += if bytes[end..].starts_with(b"\\\n") {
+                        2
+                    } else {
+                        1
+                    };
+                }
+                let line = &source[i + 1..end];
+                let is_omp = line
+                    .trim_start()
+                    .strip_prefix("pragma")
+                    .is_some_and(|rest| rest.trim_start().starts_with("omp"));
+                if let Some(at) = line.find(clause).filter(|_| is_omp) {
+                    let others = [&line[..at], &line[at + clause.len()..]];
+                    let alone = !LAUNCH_CLAUSE_NAMES
+                        .iter()
+                        .any(|name| others.iter().any(|part| part.contains(name)));
+                    return alone.then_some(i + 1 + at);
+                }
+                end
+            }
+            _ => i + 1,
+        };
+    }
+    None
 }
 
 /// Controls how large the generated instance set is.
@@ -424,10 +503,15 @@ mod tests {
                 let key = members[0].body_key();
                 for member in members {
                     // The pragma spells the launch once, and that is the cut.
+                    // It is also the first match in the whole source, so a
+                    // catalogue key, and a dataset grouped by it, does not
+                    // depend on the pragma-line rule.
                     let clause = member.variant.launch_clause(member.launch);
                     assert_eq!(member.source.matches(&clause).count(), 1);
-                    assert!(member.body_key().tail.is_some());
-                    assert_eq!(member.body_key(), key, "{}", member.describe());
+                    let cut = member.body_key();
+                    assert_eq!(Some(cut.head.len()), member.source.find(&clause));
+                    assert_eq!(cut.text(), member.source.replacen(&clause, "", 1));
+                    assert_eq!(cut, key, "{}", member.describe());
                 }
                 assert!(
                     distinct.insert(key),
@@ -438,9 +522,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_source_that_does_not_spell_its_launch_keys_to_itself() {
-        let raw = |source: &str| KernelInstance {
+    /// A raw CPU instance at one team and eight threads.
+    fn raw(source: &str) -> KernelInstance {
+        KernelInstance {
             application: "raw".into(),
             kernel: "f".into(),
             variant: Variant::Cpu,
@@ -452,11 +536,70 @@ mod tests {
             source: source.to_string(),
             bytes_to_device: 0,
             bytes_from_device: 0,
+        }
+    }
+
+    /// Asserts that `source` keys to itself at eight threads.
+    fn keys_to_itself(source: &str) {
+        let instance = raw(source);
+        let key = instance.body_key();
+        assert_eq!((key.head, key.tail), (source, None), "{source}");
+        assert!(matches!(key.text(), Cow::Borrowed(text) if text == source));
+    }
+
+    #[test]
+    fn only_a_pragma_line_that_spells_nothing_else_is_cut() {
+        // A call in code spells the clause too; cutting it would leave the
+        // GNN a different program to parse.
+        keys_to_itself(
+            "void f(float *a) {\n#pragma omp parallel for\n\
+             for (int i = 0; i < 64; i++) { a[i] = num_threads(8); }\n}\n",
+        );
+        // Nor in a comment or a string literal, a pragma line commented out
+        // included.
+        keys_to_itself(
+            "void f(float *a) {\n// num_threads(8)\n\
+             /*\n#pragma omp parallel for num_threads(8)\n*/\n\
+             #pragma omp parallel for\n\
+             for (int i = 0; i < 64; i++) { a[i] = \"num_threads(8)\"[0]; }\n}\n",
+        );
+        // A pragma line that names another launch keeps deciding it.
+        keys_to_itself(
+            "void f(float *a) {\n#pragma omp parallel for num_threads(8) num_threads(4)\n\
+             for (int i = 0; i < 64; i++) { a[i] = 0.0; }\n}\n",
+        );
+        keys_to_itself(
+            "void f(float *a) {\n#pragma omp target teams distribute parallel for \
+             thread_limit(64) num_threads(8)\n\
+             for (int i = 0; i < 64; i++) { a[i] = 0.0; }\n}\n",
+        );
+        // A non-OpenMP pragma is not an OpenMP directive.
+        keys_to_itself("void f() {\n#pragma unroll num_threads(8)\n}\n");
+
+        // Past comments that spell it, the directive itself is cut, spaced
+        // the way the lexer accepts it.
+        let with = |pragma: &str| {
+            format!(
+                "void f(float *a) {{\n/* num_threads(8) */ // num_threads(8)\n{pragma}\n\
+                 for (int i = 0; i < 64; i++) {{ a[i] = 0.0; }}\n}}\n"
+            )
         };
-        let plain = raw("void f(float *a) {\n#pragma omp parallel for\n\
-             for (int i = 0; i < 64; i++) { a[i] = 0.0; }\n}\n");
-        let key = plain.body_key();
-        assert_eq!((key.head, key.tail), (plain.source.as_str(), None));
+        let source = with("#  pragma   omp parallel for num_threads(8) schedule(static)");
+        let instance = raw(&source);
+        let key = instance.body_key();
+        assert!(key.tail.is_some());
+        assert_eq!(
+            key.text(),
+            with("#  pragma   omp parallel for  schedule(static)")
+        );
+    }
+
+    #[test]
+    fn a_source_that_does_not_spell_its_launch_keys_to_itself() {
+        keys_to_itself(
+            "void f(float *a) {\n#pragma omp parallel for\n\
+             for (int i = 0; i < 64; i++) { a[i] = 0.0; }\n}\n",
+        );
 
         // A source that spells its launch is cut there; the text that
         // remains, as a source of its own, keys to itself and stays apart.
@@ -465,7 +608,7 @@ mod tests {
              for (int i = 0; i < 64; i++) { a[i] = 0.0; }\n}\n",
         );
         let cut = spelled.body_key();
-        let glued = raw(&format!("{}{}", cut.head, cut.tail.unwrap()));
+        let glued = raw(&cut.text());
         assert_eq!(glued.body_key().tail, None);
         assert_ne!(glued.body_key(), cut);
         // At another launch the same source is not cut at all.

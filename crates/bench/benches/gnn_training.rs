@@ -77,12 +77,7 @@ impl RuntimePredictor for PerInstanceLegacyGnn {
         instance: &pg_advisor::KernelInstance,
     ) -> Result<f64, EngineError> {
         let bundle = &self.0;
-        let graph = ctx.relational_graph(
-            &instance.source,
-            bundle.representation,
-            instance.launch.teams,
-            instance.launch.threads,
-        )?;
+        let graph = ctx.relational_graph(instance, bundle.representation)?;
         let side = bundle
             .side_scaler
             .transform(&[instance.launch.teams as f32, instance.launch.threads as f32]);

@@ -54,22 +54,16 @@ impl<'a> PredictionContext<'a> {
         self.cache.ast_recorded(source, Some(self.counters))
     }
 
-    /// Memoized access to the relational graph of a source under a
-    /// representation and launch configuration.
+    /// Memoized access to the relational graph of an instance under a
+    /// representation, built from the AST of its launch-free body (see
+    /// [`FrontendCache::relational_graph`]).
     pub fn relational_graph(
         &self,
-        source: &str,
+        instance: &KernelInstance,
         representation: paragraph_core::Representation,
-        teams: u64,
-        threads: u64,
     ) -> Result<std::sync::Arc<paragraph_core::RelationalGraph>, EngineError> {
-        self.cache.relational_graph_recorded(
-            source,
-            representation,
-            teams,
-            threads,
-            Some(self.counters),
-        )
+        self.cache
+            .relational_graph_recorded(instance, representation, Some(self.counters))
     }
 }
 

@@ -2,18 +2,22 @@
 //! the same kernel skip parsing and graph construction entirely.
 //!
 //! Two layers are cached independently, because backends consume different
-//! artifacts: parsed ASTs (keyed by source) feed the simulator and
-//! COMPOFF backends, and relational graphs (keyed by source plus the
-//! [`BuilderConfig`](paragraph_core::BuilderConfig)-relevant fields:
-//! representation and launch) feed the GNN backend. Keys own the full source text, so distinct kernels can
-//! never alias a cache entry. Entries are shared via `Arc`, so cache hits are pointer
-//! copies. Hit/miss counters are atomic; engine-lifetime totals live on the
-//! cache, and per-request deltas ([`RequestCounters`]) surface in every
+//! artifacts: parsed ASTs (keyed by source text) feed the simulator and
+//! COMPOFF backends, and relational graphs (keyed by an instance's source
+//! plus the [`BuilderConfig`]-relevant fields: representation and launch)
+//! feed the GNN backend. A graph miss parses the instance's launch-free
+//! body through the AST layer, so every launch of one body shares one
+//! parse. Keys own the full text, so distinct
+//! kernels can never alias a cache entry. Entries are shared via `Arc`, so
+//! cache hits are pointer copies. Hit/miss counters are atomic and count
+//! lookups in both layers; engine-lifetime totals live on the cache, and
+//! per-request deltas ([`RequestCounters`]) surface in every
 //! [`AdviseReport`](crate::AdviseReport).
 
-use paragraph_core::{build, to_relational, RelationalGraph, Representation};
+use paragraph_core::{build, to_relational, BuilderConfig, RelationalGraph, Representation};
+use pg_advisor::KernelInstance;
 use pg_frontend::{Ast, ParseOptions};
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -245,28 +249,33 @@ impl FrontendCache {
         Ok(ast)
     }
 
-    /// Build the relational graph of `source` under a representation and
-    /// launch configuration, memoized. Graph misses reuse the AST layer.
+    /// Build the relational graph of `instance` under a representation,
+    /// memoized by the instance's source, the representation and its
+    /// launch.
+    ///
+    /// A miss builds the graph from the AST of the instance's launch-free
+    /// body ([`pg_advisor::BodyKey::text`]) with the instance's launch in
+    /// the [`BuilderConfig`]. The builder reads a launch from the pragma and
+    /// falls back to its config only when the pragma spells none, and the
+    /// body's pragma spells none, so the graph equals the one built from the
+    /// source. Every launch of a body then shares one parse.
     pub fn relational_graph(
         &self,
-        source: &str,
+        instance: &KernelInstance,
         representation: Representation,
-        teams: u64,
-        threads: u64,
     ) -> Result<Arc<RelationalGraph>, EngineError> {
-        self.relational_graph_recorded(source, representation, teams, threads, None)
+        self.relational_graph_recorded(instance, representation, None)
     }
 
     pub(crate) fn relational_graph_recorded(
         &self,
-        source: &str,
+        instance: &KernelInstance,
         representation: Representation,
-        teams: u64,
-        threads: u64,
         request: Option<&RequestCounters>,
     ) -> Result<Arc<RelationalGraph>, EngineError> {
+        let (teams, threads) = (instance.launch.teams, instance.launch.threads);
         let key = GraphKey {
-            source: self.intern(source),
+            source: self.intern(&instance.source),
             representation,
             teams,
             threads,
@@ -279,15 +288,36 @@ impl FrontendCache {
             return Ok(graph);
         }
         self.record(request, false);
-        let ast = self.ast_recorded(source, request)?;
-        let config = paragraph_core::BuilderConfig::for_representation(representation)
-            .with_launch(teams, threads);
+        let ast = self.body_ast(instance, request)?;
+        let config = BuilderConfig::for_representation(representation).with_launch(teams, threads);
         let graph = Arc::new(to_relational(&build(&ast, &config)));
         self.graphs
             .lock()
             .expect("graph cache poisoned")
             .insert(key, Arc::clone(&graph));
         Ok(graph)
+    }
+
+    /// The AST a graph of `instance` is built from: its launch-free body's,
+    /// through the AST layer. A pragma line is one token, so a body and its
+    /// source have the same tokens, nodes and depth, and the byte cap is the
+    /// one parse limit that can tell them apart: it is checked on the
+    /// instance's own source. A source that does not spell its launch, or
+    /// is over the cap, or whose body fails to parse, is parsed itself, so
+    /// each instance reports its own error.
+    fn body_ast(
+        &self,
+        instance: &KernelInstance,
+        request: Option<&RequestCounters>,
+    ) -> Result<Arc<Ast>, EngineError> {
+        if instance.source.len() <= self.parse_options.max_source_bytes {
+            if let Cow::Owned(body) = instance.body_key().text() {
+                if let Ok(ast) = self.ast_recorded(&body, request) {
+                    return Ok(ast);
+                }
+            }
+        }
+        self.ast_recorded(&instance.source, request)
     }
 
     /// Snapshot of the cumulative hit/miss counters.
@@ -362,20 +392,62 @@ mod tests {
         assert_eq!(counters.misses, 1);
     }
 
+    /// A CPU instance of `source` at `threads` threads.
+    fn instance(source: &str, threads: u64) -> KernelInstance {
+        KernelInstance {
+            application: "t".into(),
+            kernel: "f".into(),
+            variant: pg_advisor::Variant::Cpu,
+            sizes: Default::default(),
+            launch: pg_advisor::LaunchConfig { teams: 1, threads },
+            source: source.to_string(),
+            bytes_to_device: 0,
+            bytes_from_device: 0,
+        }
+    }
+
     #[test]
     fn graph_layer_distinguishes_launch_configs() {
         let cache = FrontendCache::new(8);
-        let g1 = cache
-            .relational_graph(SRC, Representation::ParaGraph, 1, 8)
-            .unwrap();
-        let g2 = cache
-            .relational_graph(SRC, Representation::ParaGraph, 1, 16)
-            .unwrap();
-        let g1_again = cache
-            .relational_graph(SRC, Representation::ParaGraph, 1, 8)
-            .unwrap();
+        let graph = |threads| {
+            cache
+                .relational_graph(&instance(SRC, threads), Representation::ParaGraph)
+                .unwrap()
+        };
+        let g1 = graph(8);
+        let g2 = graph(16);
+        let g1_again = graph(8);
         assert!(Arc::ptr_eq(&g1, &g1_again));
         assert!(!Arc::ptr_eq(&g1, &g2));
+    }
+
+    #[test]
+    fn launches_of_one_body_share_a_parse_and_build_the_source_graph() {
+        let spelled = |threads: u64| {
+            instance(
+                &format!(
+                    "void f(float *a) {{\n#pragma omp parallel for num_threads({threads})\n\
+                     for (int i = 0; i < 4096; i++) {{ a[i] = 1.0; }}\n}}\n"
+                ),
+                threads,
+            )
+        };
+        let cache = FrontendCache::new(8);
+        for threads in [2, 8, 64] {
+            let instance = spelled(threads);
+            let got = cache
+                .relational_graph(&instance, Representation::ParaGraph)
+                .unwrap();
+            let config = BuilderConfig::for_representation(Representation::ParaGraph)
+                .with_launch(1, threads);
+            let want = to_relational(&build(
+                &pg_frontend::parse(&instance.source).unwrap(),
+                &config,
+            ));
+            assert_eq!(*got, want, "{threads} threads");
+        }
+        // Three graph misses, one body parse and two body hits.
+        assert_eq!(cache.counters(), CacheCounters { hits: 2, misses: 4 });
     }
 
     #[test]

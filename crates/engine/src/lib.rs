@@ -21,7 +21,8 @@
 //!        │                                      │
 //!        │               RuntimePredictor backend (simulator | gnn | compoff)
 //!        │                                      │
-//!        │               FrontendCache (LRU: source key → AST / graph)
+//!        │        FrontendCache (LRU: source or launch-free body → AST,
+//!        │                       source × representation × launch → graph)
 //!        ▼                                      ▼
 //!   AdviseReport ◄── rank fastest-first + provenance + timing + cache stats
 //! ```

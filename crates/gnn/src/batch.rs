@@ -3,8 +3,9 @@
 //! set (engine serving) instead of one tape per sample.
 //!
 //! A batch of relational graphs is a single larger graph: node feature rows
-//! are stacked, per-relation edge lists are concatenated with their `src` /
-//! `dst` indices shifted by each graph's node offset, and the per-graph
+//! are stacked, each relation's CSR pattern is the block-diagonal
+//! concatenation of its members' patterns ([`SparseMatrix::block_diagonal`]:
+//! O(nnz) copying with node offsets added, no sort), and the per-graph
 //! boundaries are kept as a `B+1` offset vector. Because the union is
 //! disjoint, every per-node computation (projection, attention softmax over
 //! incoming edges, scatter aggregation) is unchanged — rows of the batched
@@ -14,65 +15,77 @@
 //! row range into its own embedding row.
 //!
 //! [`PreparedGraph`] is the once-per-sample conversion of a
-//! [`RelationalGraph`]: the feature matrix is flattened, edge index lists
-//! are interned as `Arc<[usize]>`, each relation's CSR pattern (with its
-//! source list) is built, and the attention priors are materialised as a
-//! column matrix in CSR order. Recording any of it on the autograd tape is
-//! a refcount bump, not a copy. Training converts every sample once in
-//! `prepare`; the old path re-cloned every edge list on every forward pass
-//! of every epoch.
+//! [`RelationalGraph`]: the feature matrix is flattened, each relation's CSR
+//! pattern (with its source list) is built, and the attention priors are
+//! materialised as a column matrix in CSR order. That is the one CSR build
+//! a graph gets; recording any of it on the autograd tape is a refcount
+//! bump, not a copy. Training converts every sample once in `prepare`.
 
 use paragraph_core::RelationalGraph;
 use pg_tensor::{Matrix, SparseMatrix};
 use std::sync::Arc;
 
-/// One relation's edges, ready for the tape: the edge list in its original
-/// order (what batching concatenates), plus its CSR pattern over the
+/// Graphs per batched forward pass outside training (evaluation and
+/// serving): bounds the disjoint union's peak memory while keeping the
+/// batched matrices large enough for the parallel matmul kernels.
+pub(crate) const FORWARD_CHUNK: usize = 64;
+
+/// One relation's edges, ready for the tape: the CSR pattern over the
 /// graph's node set (rows = destinations, columns compressed to the
-/// relation's distinct sources) with the attention priors permuted into CSR
-/// order. The RGAT layer records only the CSR half. Built once per prepared
-/// graph / batch via [`PreparedRelation::new`].
-#[derive(Debug, Clone)]
+/// relation's distinct sources) and the attention priors in CSR order.
+/// Built once per prepared graph via [`PreparedRelation::new`]; a batch
+/// concatenates its members' relations without rebuilding them.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreparedRelation {
-    /// Source node per edge.
-    pub src: Arc<[usize]>,
-    /// Destination node per edge.
-    pub dst: Arc<[usize]>,
-    /// Attention priors per edge (`E x 1`).
-    pub priors: Matrix,
-    /// CSR pattern of the same edges (kept consistent with `src`/`dst` by
-    /// construction, hence not public); `Arc` so recording it on a tape op
-    /// is a refcount bump.
+    /// CSR pattern of the edges; `Arc` so recording it on a tape op is a
+    /// refcount bump.
     adj: Arc<SparseMatrix>,
     /// Attention priors in CSR order (`E x 1`).
     priors_csr: Matrix,
 }
 
 impl PreparedRelation {
-    /// Intern a relation's edge list and build its CSR pattern over a
-    /// `node_count`-node graph. `priors` is the `E x 1` prior column in
-    /// edge-list order; its CSR permutation is materialised here so the
-    /// hot path never chases the permutation.
-    pub fn new(src: Arc<[usize]>, dst: Arc<[usize]>, priors: Matrix, node_count: usize) -> Self {
-        let adj = Arc::new(SparseMatrix::from_edges(node_count, node_count, &src, &dst));
-        let priors_csr = Matrix::col_vector(&adj.permute_to_csr(priors.as_slice()));
+    /// Build a relation's CSR pattern over a `node_count`-node graph from
+    /// its edge list (`src[e] -> dst[e]`). `priors` holds one attention
+    /// prior per edge in edge-list order; its CSR permutation is
+    /// materialised here so the hot path never chases the permutation.
+    ///
+    /// # Panics
+    /// Panics when the three lists differ in length or an index is out of
+    /// bounds for `node_count`.
+    pub fn new(src: &[usize], dst: &[usize], priors: &[f32], node_count: usize) -> Self {
+        let adj = SparseMatrix::from_edges(node_count, node_count, src, dst);
+        let priors_csr = Matrix::from_vec(adj.nnz(), 1, adj.permute_to_csr(priors));
         Self {
-            src,
-            dst,
-            priors,
-            adj,
+            adj: Arc::new(adj),
             priors_csr,
+        }
+    }
+
+    /// The disjoint union of `parts`, each over its own node range in
+    /// order: block-diagonal patterns and the CSR-ordered priors
+    /// concatenated unchanged.
+    fn block_diagonal(parts: &[&PreparedRelation]) -> Self {
+        let patterns: Vec<&SparseMatrix> = parts.iter().map(|p| p.adj.as_ref()).collect();
+        let adj = SparseMatrix::block_diagonal(&patterns);
+        let mut priors = Vec::with_capacity(adj.nnz());
+        for part in parts {
+            priors.extend_from_slice(part.priors_csr.as_slice());
+        }
+        Self {
+            priors_csr: Matrix::from_vec(adj.nnz(), 1, priors),
+            adj: Arc::new(adj),
         }
     }
 
     /// Number of edges.
     pub fn len(&self) -> usize {
-        self.src.len()
+        self.adj.nnz()
     }
 
     /// True when the relation has no edges.
     pub fn is_empty(&self) -> bool {
-        self.src.is_empty()
+        self.adj.is_empty()
     }
 
     /// The CSR pattern of this relation's edges; its
@@ -92,16 +105,16 @@ impl PreparedRelation {
 pub struct PreparedGraph {
     /// `node_count x NODE_FEATURE_DIM` feature matrix.
     pub features: Matrix,
-    /// One prepared edge list per relation.
+    /// One prepared relation per edge type.
     pub relations: Vec<PreparedRelation>,
     /// Number of nodes.
     pub node_count: usize,
 }
 
 impl PreparedGraph {
-    /// Convert a relational graph: flatten features, intern edge lists and
-    /// materialise attention priors. Do this once per sample, not per
-    /// forward pass.
+    /// Convert a relational graph: flatten features, build each relation's
+    /// CSR pattern and materialise its attention priors. Do this once per
+    /// sample, not per forward pass.
     pub fn from_relational(graph: &RelationalGraph) -> Self {
         debug_assert_eq!(
             graph.features.len(),
@@ -123,9 +136,9 @@ impl PreparedGraph {
             .enumerate()
             .map(|(idx, rel)| {
                 PreparedRelation::new(
-                    Arc::from(rel.src.as_slice()),
-                    Arc::from(rel.dst.as_slice()),
-                    Matrix::col_vector(&graph.attention_priors(idx)),
+                    &rel.src,
+                    &rel.dst,
+                    &graph.attention_priors(idx),
                     graph.node_count,
                 )
             })
@@ -149,7 +162,7 @@ impl PreparedGraph {
 pub struct BatchedGraph {
     /// Stacked node features (`total_nodes x F`).
     pub features: Matrix,
-    /// Concatenated, offset-shifted edge lists per relation.
+    /// Block-diagonal relations over the union's nodes.
     pub relations: Vec<PreparedRelation>,
     /// `B + 1` node offsets: graph `g` owns rows `offsets[g]..offsets[g+1]`.
     pub offsets: Arc<[usize]>,
@@ -198,25 +211,11 @@ impl BatchedGraph {
 
         let relations = (0..num_relations)
             .map(|rel_idx| {
-                let total_edges: usize = items
+                let parts: Vec<&PreparedRelation> = items
                     .iter()
-                    .map(|(graph, _)| graph.relations[rel_idx].len())
-                    .sum();
-                let mut src = Vec::with_capacity(total_edges);
-                let mut dst = Vec::with_capacity(total_edges);
-                let mut priors = Vec::with_capacity(total_edges);
-                for ((graph, _), &offset) in items.iter().zip(offsets.iter()) {
-                    let rel = &graph.relations[rel_idx];
-                    src.extend(rel.src.iter().map(|&s| s + offset));
-                    dst.extend(rel.dst.iter().map(|&d| d + offset));
-                    priors.extend_from_slice(rel.priors.as_slice());
-                }
-                PreparedRelation::new(
-                    Arc::from(src),
-                    Arc::from(dst),
-                    Matrix::col_vector(&priors),
-                    total_nodes,
-                )
+                    .map(|(graph, _)| &graph.relations[rel_idx])
+                    .collect();
+                PreparedRelation::block_diagonal(&parts)
             })
             .collect();
 
@@ -228,8 +227,8 @@ impl BatchedGraph {
         }
     }
 
-    /// Batch of one: shares the prepared graph's interned edge lists instead
-    /// of re-shifting them (offset zero), so single-sample serving pays one
+    /// Batch of one: shares the prepared graph's CSR patterns instead of
+    /// copying them (offset zero), so single-sample serving pays one
     /// feature copy and nothing else.
     pub fn single(graph: &PreparedGraph, side: [f32; 2]) -> Self {
         Self {
@@ -257,71 +256,81 @@ mod tests {
     use paragraph_core::{build_default, to_relational};
     use pg_frontend::parse;
 
-    fn graph(src: &str) -> PreparedGraph {
-        let ast = parse(src).unwrap();
-        PreparedGraph::from_relational(&to_relational(&build_default(&ast)))
+    fn relational(src: &str) -> RelationalGraph {
+        to_relational(&build_default(&parse(src).unwrap()))
     }
 
-    fn two_graphs() -> (PreparedGraph, PreparedGraph) {
-        (
-            graph("void f(float *a) { for (int i = 0; i < 16; i++) { a[i] = 2.0; } }"),
-            graph(
+    fn three_graphs() -> Vec<RelationalGraph> {
+        vec![
+            relational("void f(float *a) { for (int i = 0; i < 16; i++) { a[i] = 2.0; } }"),
+            relational("void h(float *a) { a[0] = 1.0; }"),
+            relational(
                 "void g(float *a, float *b) { for (int i = 0; i < 64; i++) { if (i < 4) { a[i] = b[i]; } } }",
             ),
-        )
+        ]
     }
 
     #[test]
     fn prepared_graph_matches_relational_shape() {
-        let g = graph("void f(float *a) { a[0] = 1.0; }");
+        let graph = relational("void f(float *a) { a[0] = 1.0; }");
+        let g = PreparedGraph::from_relational(&graph);
         assert_eq!(g.features.rows(), g.node_count);
         assert_eq!(g.num_relations(), paragraph_core::EdgeType::COUNT);
-        for rel in &g.relations {
-            assert_eq!(rel.src.len(), rel.dst.len());
-            assert_eq!(rel.priors.rows(), rel.len());
+        for (idx, (rel, edges)) in g.relations.iter().zip(&graph.relations).enumerate() {
+            assert_eq!(rel.len(), edges.src.len());
+            assert_eq!(rel.adj().rows(), g.node_count);
+            assert_eq!(rel.priors_csr().shape(), (rel.len(), 1));
+            // Every CSR position maps back to its edge, priors permuted
+            // alongside.
+            let priors = graph.attention_priors(idx);
+            for (pos, (s, d)) in rel.adj().to_edge_list().into_iter().enumerate() {
+                let e = rel.adj().perm()[pos];
+                assert_eq!((s, d), (edges.src[e], edges.dst[e]));
+                assert_eq!(rel.priors_csr().get(pos, 0), priors[e]);
+            }
         }
     }
 
     #[test]
-    fn disjoint_union_shifts_edges_and_tracks_offsets() {
-        let (a, b) = two_graphs();
-        let batch = BatchedGraph::build(&[(&a, [0.1, 0.2]), (&b, [0.3, 0.4])]);
-        assert_eq!(batch.batch_size(), 2);
-        assert_eq!(batch.total_nodes(), a.node_count + b.node_count);
+    fn batch_equals_a_build_over_the_concatenated_shifted_edge_lists() {
+        let graphs = three_graphs();
+        let prepared: Vec<PreparedGraph> =
+            graphs.iter().map(PreparedGraph::from_relational).collect();
+        let items: Vec<(&PreparedGraph, [f32; 2])> = prepared
+            .iter()
+            .enumerate()
+            .map(|(i, g)| (g, [i as f32, 0.5]))
+            .collect();
+        let batch = BatchedGraph::build(&items);
+        assert_eq!(batch.batch_size(), 3);
+        let sizes: Vec<usize> = graphs.iter().map(|g| g.node_count).collect();
         assert_eq!(
             batch.offsets.as_ref(),
-            &[0, a.node_count, batch.total_nodes()]
+            &[0, sizes[0], sizes[0] + sizes[1], batch.total_nodes()]
         );
         assert_eq!(batch.features.rows(), batch.total_nodes());
-        assert_eq!(batch.sides.shape(), (2, 2));
-        assert_eq!(batch.sides.row(1), &[0.3, 0.4]);
+        assert_eq!(batch.sides.row(2), &[2.0, 0.5]);
 
         for (rel_idx, rel) in batch.relations.iter().enumerate() {
-            let (ra, rb) = (&a.relations[rel_idx], &b.relations[rel_idx]);
-            assert_eq!(rel.len(), ra.len() + rb.len());
-            // First graph's edges are unshifted, second graph's shifted.
-            assert_eq!(&rel.src[..ra.len()], ra.src.as_ref());
-            for (got, want) in rel.src[ra.len()..].iter().zip(rb.src.iter()) {
-                assert_eq!(*got, want + a.node_count);
+            let (mut src, mut dst, mut priors) = (Vec::new(), Vec::new(), Vec::new());
+            for (graph, &offset) in graphs.iter().zip(batch.offsets.iter()) {
+                let edges = &graph.relations[rel_idx];
+                src.extend(edges.src.iter().map(|&s| s + offset));
+                dst.extend(edges.dst.iter().map(|&d| d + offset));
+                priors.extend(graph.attention_priors(rel_idx));
             }
-            // Every edge stays inside its graph's node range.
-            for (&s, &d) in rel.src.iter().zip(rel.dst.iter()) {
-                let seg_s = (s >= a.node_count) as usize;
-                let seg_d = (d >= a.node_count) as usize;
-                assert_eq!(seg_s, seg_d, "edge crosses graph boundary");
-            }
-            // Priors concatenate unchanged.
-            assert_eq!(&rel.priors.as_slice()[..ra.len()], ra.priors.as_slice());
+            let want = PreparedRelation::new(&src, &dst, &priors, batch.total_nodes());
+            assert_eq!(rel, &want, "relation {rel_idx}");
         }
     }
 
     #[test]
-    fn batch_of_one_shares_interned_indices() {
-        let (a, _) = two_graphs();
+    fn batch_of_one_shares_the_prepared_patterns() {
+        let a = PreparedGraph::from_relational(&three_graphs()[0]);
         let batch = BatchedGraph::build(&[(&a, [0.5, 0.5])]);
         assert_eq!(batch.batch_size(), 1);
-        // The single-graph path must not copy the index slices.
-        assert!(Arc::ptr_eq(&batch.relations[0].src, &a.relations[0].src));
+        // The single-graph path must not copy the patterns.
+        assert!(Arc::ptr_eq(batch.relations[0].adj(), a.relations[0].adj()));
         assert_eq!(batch.total_nodes(), a.node_count);
     }
 
@@ -329,30 +338,5 @@ mod tests {
     #[should_panic(expected = "zero graphs")]
     fn empty_batch_panics() {
         let _ = BatchedGraph::build(&[]);
-    }
-
-    #[test]
-    fn prepared_relations_carry_consistent_csr() {
-        let (a, b) = two_graphs();
-        let batch = BatchedGraph::build(&[(&a, [0.1, 0.2]), (&b, [0.3, 0.4])]);
-        for rel in &batch.relations {
-            let adj = rel.adj();
-            assert_eq!(adj.nnz(), rel.len());
-            assert_eq!(adj.rows(), batch.total_nodes());
-            assert_eq!(adj.cols(), batch.total_nodes());
-            assert_eq!(rel.priors_csr().shape(), (rel.len(), 1));
-            // Every CSR position maps back to its original edge, priors
-            // permuted alongside.
-            for (pos, (s, d)) in adj.to_edge_list().into_iter().enumerate() {
-                let e = adj.perm()[pos];
-                assert_eq!((s, d), (rel.src[e], rel.dst[e]));
-                assert_eq!(rel.priors_csr().get(pos, 0), rel.priors.get(e, 0));
-            }
-            // The source list is the relation's distinct senders, ascending.
-            let mut senders = rel.src.to_vec();
-            senders.sort_unstable();
-            senders.dedup();
-            assert_eq!(adj.sources().as_ref(), senders.as_slice());
-        }
     }
 }

@@ -9,7 +9,7 @@
 //! `predict` entry points. The `pg-engine` GNN backend consumes exactly this
 //! bundle.
 
-use crate::batch::{BatchedGraph, PreparedGraph};
+use crate::batch::{BatchedGraph, PreparedGraph, FORWARD_CHUNK};
 use crate::model::ParaGraphModel;
 use crate::train::{prepare, train_prepared, TrainConfig, TrainError, TrainedOutcome};
 use paragraph_core::{build, to_relational, BuilderConfig, RelationalGraph, Representation};
@@ -17,11 +17,6 @@ use pg_dataset::PlatformDataset;
 use pg_frontend::FrontendError;
 use pg_tensor::{MinMaxScaler, Tape, TargetTransform};
 use serde::{Deserialize, Serialize};
-
-/// Graphs per batched forward pass in [`TrainedModel::predict_relational_batch`]:
-/// bounds the disjoint union's peak memory while keeping the batched
-/// matrices large enough for the parallel matmul kernels.
-const PREDICT_BATCH: usize = 64;
 
 /// A trained ParaGraph model together with the fitted scalers and the
 /// representation it expects — everything needed to serve predictions.
@@ -72,15 +67,20 @@ impl TrainedModel {
     }
 
     /// Predict the runtimes (ms) of a whole candidate set in batched forward
-    /// passes: the graphs are joined into disjoint unions of up to
-    /// `PREDICT_BATCH` (64) members and driven through one tape per chunk, so
-    /// parameters are registered once per chunk instead of once per
-    /// candidate. Results are ordered like the input and match
+    /// passes: each graph's CSR patterns are built once, the graphs are
+    /// joined block-diagonally into disjoint unions of up to
+    /// `FORWARD_CHUNK` (64) members, and each chunk is driven through one
+    /// forward pass, so parameters are registered once per chunk instead of
+    /// once per candidate. Results are ordered like the input and match
     /// [`TrainedModel::predict_relational`] to float precision.
+    ///
+    /// The tape is fresh per call and dropped with it. A serving process
+    /// calls this from many threads; a tape kept per thread would grow every
+    /// slot to the largest matrix any call ever wrote there and keep it.
     pub fn predict_relational_batch(&self, items: &[(&RelationalGraph, u64, u64)]) -> Vec<f32> {
         let mut tape = Tape::new();
         let mut out = Vec::with_capacity(items.len());
-        for chunk in items.chunks(PREDICT_BATCH) {
+        for chunk in items.chunks(FORWARD_CHUNK) {
             let prepared: Vec<PreparedGraph> = chunk
                 .iter()
                 .map(|(graph, _, _)| PreparedGraph::from_relational(graph))

@@ -190,12 +190,7 @@ mod tests {
         priors: Vec<f32>,
         node_count: usize,
     ) -> PreparedRelation {
-        PreparedRelation::new(
-            Arc::from(src),
-            Arc::from(dst),
-            Matrix::col_vector(&priors),
-            node_count,
-        )
+        PreparedRelation::new(&src, &dst, &priors, node_count)
     }
 
     fn simple_relations() -> Vec<PreparedRelation> {

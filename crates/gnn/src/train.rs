@@ -11,7 +11,7 @@
 //! baseline for the golden-equivalence tests and the `gnn_training`
 //! benchmark.
 
-use crate::batch::{BatchedGraph, PreparedGraph};
+use crate::batch::{BatchedGraph, PreparedGraph, FORWARD_CHUNK};
 use crate::model::{GraphSample, ModelConfig, ParaGraphModel};
 use paragraph_core::Representation;
 use pg_dataset::PlatformDataset;
@@ -265,14 +265,9 @@ fn batch_of(prepared: &PreparedDataset, indices: &[usize]) -> BatchedGraph {
     BatchedGraph::build(&items)
 }
 
-/// Number of graphs evaluated per batched forward pass outside training.
-/// Bounds peak memory of the disjoint union while keeping the matrices
-/// large enough for the parallel matmul kernels.
-const EVAL_BATCH: usize = 64;
-
 /// Evaluate a model on a set of samples, returning per-sample predictions in
-/// milliseconds. Batched: chunks of `EVAL_BATCH` (64) graphs go through one
-/// forward pass each on a single reused tape.
+/// milliseconds. Batched: chunks of `FORWARD_CHUNK` (64) graphs go through
+/// one forward pass each on a single reused tape.
 pub fn evaluate(
     model: &ParaGraphModel,
     prepared: &PreparedDataset,
@@ -280,7 +275,7 @@ pub fn evaluate(
 ) -> Vec<PredictionRecord> {
     let mut tape = Tape::new();
     let mut records = Vec::with_capacity(indices.len());
-    for chunk in indices.chunks(EVAL_BATCH) {
+    for chunk in indices.chunks(FORWARD_CHUNK) {
         let batch = batch_of(prepared, chunk);
         let encoded = model.predict_batched(&mut tape, &batch);
         for (&i, encoded) in chunk.iter().zip(encoded) {

@@ -23,14 +23,15 @@
 //!                                  disjoint-union forward pass per flush)
 //! ```
 //!
-//! Four routes: `POST /advise` and `POST /tune` (the engine's and tuner's
+//! Five routes: `POST /advise` and `POST /tune` (the engine's and tuner's
 //! own serde types as the wire format), `GET /healthz`, `GET /metrics`
 //! (Prometheus text; one table in [`metrics`] declares every scalar serve
-//! metric). `/tune` runs a budgeted `pg_tune` search with the
-//! shared engine as cost model (it batches internally — one backend call
-//! per search generation — so it bypasses the micro-batcher but shares the
-//! admission gauge). Admission control bounds in-flight requests across
-//! both POST routes (429 + `Retry-After` on overload),
+//! metric) and `GET /debug/traces` (the kept request traces as JSON span
+//! trees, most recent first). `/tune` runs a budgeted `pg_tune` search
+//! with the shared engine as cost model (it batches internally — one
+//! backend call per search generation — so it bypasses the micro-batcher
+//! but shares the admission gauge). Admission control bounds in-flight
+//! requests across both POST routes (429 + `Retry-After` on overload),
 //! and shutdown drains: admitted requests finish, queued batches flush,
 //! every thread joins. Pair with `pg_gnn::registry` to hot-load a trained
 //! model bundle instead of training in-process — see `examples/serve.rs`.

@@ -34,6 +34,10 @@
 //!   accumulation in [`SparseMatrix::spmm_into`] therefore adds
 //!   contributions in exactly the order an edge-list gather → scale →
 //!   scatter-add chain adds them, and agrees with it bit for bit.
+//! * A disjoint union of patterns needs no second sort:
+//!   [`SparseMatrix::block_diagonal`] concatenates the blocks' arrays with
+//!   offsets added and equals the sort over the concatenated, shifted edge
+//!   lists array for array.
 //! * [`SparseMatrix::perm`] maps each CSR position back to its original
 //!   edge index; per-edge payloads (attention priors) are permuted once at
 //!   build time with [`SparseMatrix::permute_to_csr`], after which every
@@ -64,8 +68,8 @@ const SPMM_PAR_THRESHOLD: usize = 1 << 16;
 ///
 /// Values are *not* stored here — message passing recomputes the per-edge
 /// coefficients every forward pass, so ops take the value column (in CSR
-/// order) as a separate operand.
-#[derive(Debug, Clone)]
+/// order) as a separate operand. Equality compares every array.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparseMatrix {
     rows: usize,
     cols: usize,
@@ -171,6 +175,64 @@ impl SparseMatrix {
         Self {
             rows,
             cols,
+            row_ptr: Arc::from(row_ptr),
+            nonempty_rows: Arc::from(nonempty_rows),
+            col_idx: Arc::from(col_idx),
+            sources: Arc::from(sources),
+            perm: Arc::from(perm),
+            t_row_ptr: Arc::from(t_row_ptr),
+            t_dst: Arc::from(t_dst),
+            t_pos: Arc::from(t_pos),
+        }
+    }
+
+    /// The block-diagonal matrix of `blocks`: block `b`'s rows and columns
+    /// are shifted past those of the blocks before it. The result equals,
+    /// array for array, [`SparseMatrix::from_edges`] over the blocks' edge
+    /// lists concatenated in order with each index shifted by its block's
+    /// offsets. Each block is already sorted and stable and keeps its own
+    /// rows and sources apart from every other, so this is O(nnz) copying
+    /// with offsets added: no sort.
+    pub fn block_diagonal(blocks: &[&SparseMatrix]) -> Self {
+        let nnz: usize = blocks.iter().map(|b| b.nnz()).sum();
+        let rows: usize = blocks.iter().map(|b| b.rows).sum();
+        let listed: usize = blocks.iter().map(|b| b.sources.len()).sum();
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        let mut t_row_ptr = Vec::with_capacity(listed + 1);
+        row_ptr.push(0);
+        t_row_ptr.push(0);
+        let mut nonempty_rows =
+            Vec::with_capacity(blocks.iter().map(|b| b.nonempty_rows.len()).sum());
+        let mut sources = Vec::with_capacity(listed);
+        let (mut col_idx, mut perm, mut t_dst, mut t_pos) = (
+            Vec::with_capacity(nnz),
+            Vec::with_capacity(nnz),
+            Vec::with_capacity(nnz),
+            Vec::with_capacity(nnz),
+        );
+        // Running offsets: stored entries, rows, columns and listed sources
+        // of the blocks already copied.
+        let (mut at, mut row, mut col, mut source) = (0, 0, 0, 0);
+        let shifted = |out: &mut Vec<usize>, from: &[usize], by: usize| {
+            out.extend(from.iter().map(|&v| v + by));
+        };
+        for block in blocks {
+            shifted(&mut row_ptr, &block.row_ptr[1..], at);
+            shifted(&mut nonempty_rows, &block.nonempty_rows, row);
+            shifted(&mut col_idx, &block.col_idx, source);
+            shifted(&mut sources, &block.sources, col);
+            shifted(&mut perm, &block.perm, at);
+            shifted(&mut t_row_ptr, &block.t_row_ptr[1..], at);
+            shifted(&mut t_dst, &block.t_dst, row);
+            shifted(&mut t_pos, &block.t_pos, at);
+            at += block.nnz();
+            row += block.rows;
+            col += block.cols;
+            source += block.sources.len();
+        }
+        Self {
+            rows,
+            cols: col,
             row_ptr: Arc::from(row_ptr),
             nonempty_rows: Arc::from(nonempty_rows),
             col_idx: Arc::from(col_idx),
@@ -504,8 +566,60 @@ mod csr_properties {
         }
     }
 
+    /// Every array of a pattern, named, for field-by-field comparison.
+    fn arrays(m: &SparseMatrix) -> [(&'static str, &[usize]); 8] {
+        [
+            ("row_ptr", &m.row_ptr),
+            ("nonempty_rows", &m.nonempty_rows),
+            ("col_idx", &m.col_idx),
+            ("sources", &m.sources),
+            ("perm", &m.perm),
+            ("t_row_ptr", &m.t_row_ptr),
+            ("t_dst", &m.t_dst),
+            ("t_pos", &m.t_pos),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn block_diagonal_equals_from_edges_over_the_shifted_lists(
+            seed in 0u64..1_000_000,
+            blocks in 0u32..7,
+            max_edges in 0u32..48,
+        ) {
+            // Blocks of 0-9 rows and 0-9 columns with 0..=max_edges edges
+            // each, so a case mixes empty blocks, blocks without rows or
+            // columns, and (with no blocks, or max_edges 0) empty unions.
+            let mut next = stream(seed);
+            let mut parts = Vec::new();
+            let (mut src, mut dst) = (Vec::new(), Vec::new());
+            let (mut rows, mut cols) = (0, 0);
+            for _ in 0..blocks {
+                let (r, c) = ((next() % 10) as usize, (next() % 10) as usize);
+                let e = if r == 0 || c == 0 {
+                    0
+                } else {
+                    (next() % (u64::from(max_edges) + 1)) as usize
+                };
+                let (block_src, block_dst): (Vec<usize>, Vec<usize>) = (0..e)
+                    .map(|_| ((next() % c as u64) as usize, (next() % r as u64) as usize))
+                    .unzip();
+                src.extend(block_src.iter().map(|&s| s + cols));
+                dst.extend(block_dst.iter().map(|&d| d + rows));
+                parts.push(SparseMatrix::from_edges(r, c, &block_src, &block_dst));
+                rows += r;
+                cols += c;
+            }
+            let blocks: Vec<&SparseMatrix> = parts.iter().collect();
+            let got = SparseMatrix::block_diagonal(&blocks);
+            let want = SparseMatrix::from_edges(rows, cols, &src, &dst);
+            prop_assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+            for ((name, got), (_, want)) in arrays(&got).into_iter().zip(arrays(&want)) {
+                prop_assert_eq!(got, want, "{name}: {got:?} != {want:?}");
+            }
+        }
 
         #[test]
         fn random_edge_lists_round_trip_and_spmm_matches_dense(

@@ -218,6 +218,33 @@ fn gnn_backend_uses_the_cache_and_stays_deterministic() {
     assert_eq!(cold.rankings, warm.rankings);
 }
 
+/// A cold exhaustive tune over V100's densified grid prices 324 MM/matmul
+/// candidates from 4 launch-free bodies (one per GPU variant at default
+/// sizes). The GNN engine parses each body once: 324 graph misses plus 4
+/// AST misses, and the other 320 graph misses hit their body's AST, where
+/// parsing every source would miss 324 ASTs and hit none.
+#[test]
+fn cold_exhaustive_tune_parses_each_body_once() {
+    use paragraph::tune::{StrategySpec, TuneEngine, TuneRequest};
+
+    let (bundle, _) = TrainedModel::fit(&fast_dataset(), &TrainConfig::fast()).unwrap();
+    let engine = Engine::builder()
+        .platform(PLATFORM)
+        .backend(GnnBackend::new(bundle, PLATFORM))
+        .build();
+    let request = TuneRequest::catalog("MM/matmul")
+        .with_budget(PLATFORM.default_budget().densified(4))
+        .with_strategy(StrategySpec::Exhaustive);
+    let report = engine.tune(&request).unwrap();
+    assert_eq!(
+        (report.space.variants, report.space.evaluated),
+        (4, 324),
+        "4 variants x 81 launches"
+    );
+    let counters = engine.cache_counters();
+    assert_eq!((counters.hits, counters.misses), (324 - 4, 324 + 4));
+}
+
 /// Backends refuse platforms they cannot speak for: a GNN bundle trained on
 /// one platform rejects requests for another, and COMPOFF (GPU-only, as in
 /// the paper) rejects CPU platforms — instead of extrapolating silently
