@@ -10,6 +10,7 @@
 
 use crate::launch::{LaunchConfig, ParallelismBudget};
 use crate::variant::Variant;
+use pg_frontend::lexer::scan_directive;
 use pg_kernels::KernelTemplate;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -118,13 +119,14 @@ impl<'a> BodyKey<'a> {
 /// the cut clause would keep deciding the launch after the cut.
 const LAUNCH_CLAUSE_NAMES: [&str; 3] = ["num_threads", "num_teams", "thread_limit"];
 
-/// Byte offset of `clause` in the first `#pragma omp` line of `source` that
-/// spells it, when that line spells no other launch clause.
+/// Byte offset of `clause` in the code of the first `#pragma omp` directive
+/// of `source` that spells it, when that directive spells no other launch
+/// clause.
 ///
-/// Lines are found the way the frontend's lexer finds them: comments and
-/// string or character literals are skipped, and a `#` outside them starts
-/// a directive that runs to the end of its line (a backslash-newline
-/// continues it).
+/// Directives are found the way the frontend's lexer finds them: comments
+/// and string or character literals are skipped, and a `#` outside them
+/// starts a directive that [`scan_directive`] reads, so a comment on the
+/// directive's line is neither cut nor counted.
 fn launch_clause_at(source: &str, clause: &str) -> Option<usize> {
     let bytes = source.as_bytes();
     let past = |from: usize, pattern: &str| {
@@ -145,27 +147,24 @@ fn launch_clause_at(source: &str, clause: &str) -> Option<usize> {
                 j + 1
             }
             (b'#', _) => {
-                let mut end = i + 1;
-                while end < bytes.len() && bytes[end] != b'\n' {
-                    end += if bytes[end..].starts_with(b"\\\n") {
-                        2
-                    } else {
-                        1
-                    };
-                }
-                let line = &source[i + 1..end];
-                let is_omp = line
+                // The lexer rejects a comment that never closes; nothing to cut.
+                let directive = scan_directive(source, i + 1).ok()?;
+                let text = directive.text(source);
+                let is_omp = text
                     .trim_start()
                     .strip_prefix("pragma")
                     .is_some_and(|rest| rest.trim_start().starts_with("omp"));
-                if let Some(at) = line.find(clause).filter(|_| is_omp) {
-                    let others = [&line[..at], &line[at + clause.len()..]];
-                    let alone = !LAUNCH_CLAUSE_NAMES
+                let found = directive
+                    .code
+                    .iter()
+                    .find_map(|code| source[code.clone()].find(clause).map(|at| code.start + at));
+                if let Some(at) = found.filter(|_| is_omp) {
+                    let alone = LAUNCH_CLAUSE_NAMES
                         .iter()
-                        .any(|name| others.iter().any(|part| part.contains(name)));
-                    return alone.then_some(i + 1 + at);
+                        .all(|name| text.matches(name).count() == clause.matches(name).count());
+                    return alone.then_some(at);
                 }
-                end
+                directive.end
             }
             _ => i + 1,
         };
@@ -575,6 +574,18 @@ mod tests {
         );
         // A non-OpenMP pragma is not an OpenMP directive.
         keys_to_itself("void f() {\n#pragma unroll num_threads(8)\n}\n");
+        // A comment on a pragma line is not part of the directive, whether
+        // it ends the line or runs past it.
+        for comment in [
+            "// num_threads(8)",
+            "/* num_threads(8) */",
+            "/* num_threads(8)\n */",
+        ] {
+            keys_to_itself(&format!(
+                "void f(float *a) {{\n#pragma omp parallel for {comment}\n\
+                 for (int i = 0; i < 64; i++) {{ a[i] = 0.0; }}\n}}\n"
+            ));
+        }
 
         // Past comments that spell it, the directive itself is cut, spaced
         // the way the lexer accepts it.
@@ -592,6 +603,20 @@ mod tests {
             key.text(),
             with("#  pragma   omp parallel for  schedule(static)")
         );
+        // A launch clause in a comment on the directive is no other launch
+        // clause.
+        for (pragma, body) in [
+            (
+                "#pragma omp parallel for num_threads(8) // num_threads(4)",
+                "#pragma omp parallel for  // num_threads(4)",
+            ),
+            (
+                "#pragma omp parallel for /* num_threads(4)\n */ num_threads(8)",
+                "#pragma omp parallel for /* num_threads(4)\n */ ",
+            ),
+        ] {
+            assert_eq!(raw(&with(pragma)).body_key().text(), with(body), "{pragma}");
+        }
     }
 
     #[test]

@@ -16,13 +16,12 @@
 //!   message-passing path at 1×/4×/16× disjoint-union scale, so its scaling
 //!   with graph size is measured rather than asserted.
 //!
-//! Besides the criterion output, the comparisons are re-timed explicitly
-//! (median of several runs) and written to `BENCH_gnn.json` (schema 3) at
-//! the repository root so future PRs have a trajectory to compare against.
+//! Each comparison is timed as interleaved medians of several runs and
+//! written to `BENCH_gnn.json` (schema 3) at the repository root so future
+//! changes have a trajectory to compare against.
 //! Set `PARAGRAPH_BENCH_SMOKE=1` for the CI smoke run: fewer repetitions and
 //! a reduced epoch body, same code paths, no JSON rewrite.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use pg_dataset::{collect_platform, DatasetScale, PipelineConfig};
 use pg_engine::{AdviseRequest, Engine, EngineError, PredictionContext, RuntimePredictor};
 use pg_gnn::{
@@ -186,75 +185,6 @@ struct BenchReport {
     size_sweep: Vec<SweepEntry>,
 }
 
-fn bench_training_epoch(c: &mut Criterion) {
-    let prepared = prepared_dataset();
-    let config = train_config();
-    c.bench_function("gnn_training_epoch_per_sample", |b| {
-        b.iter(|| reference::train_prepared(std::hint::black_box(&prepared), &config).unwrap())
-    });
-    c.bench_function("gnn_training_epoch_batched", |b| {
-        b.iter(|| train_prepared(std::hint::black_box(&prepared), &config).unwrap())
-    });
-}
-
-fn bench_forward_backward(c: &mut Criterion) {
-    let prepared = prepared_dataset();
-    let config = train_config();
-    let model = ParaGraphModel::new(config.model, config.seed);
-    let indices: Vec<usize> = prepared
-        .train_idx
-        .iter()
-        .copied()
-        .take(config.batch_size)
-        .collect();
-    c.bench_function("gnn_forward_backward_per_sample_x16", |b| {
-        b.iter(|| {
-            for &i in &indices {
-                std::hint::black_box(reference::loss_and_gradients(&model, &prepared.samples[i]));
-            }
-        })
-    });
-    let items: Vec<(&PreparedGraph, [f32; 2])> = indices
-        .iter()
-        .map(|&i| (&prepared.prepared[i], prepared.samples[i].side))
-        .collect();
-    let targets: Vec<f32> = indices
-        .iter()
-        .map(|&i| prepared.samples[i].target)
-        .collect();
-    let batch = BatchedGraph::build(&items);
-    let mut tape = Tape::new();
-    c.bench_function("gnn_forward_backward_batched_x16", |b| {
-        b.iter(|| {
-            tape.reset();
-            let (_, loss, _) =
-                model.forward_batched(&mut tape, std::hint::black_box(&batch), Some(&targets));
-            tape.backward(loss.unwrap());
-        })
-    });
-}
-
-fn bench_sweep_advise(c: &mut Criterion) {
-    let bundle = trained_bundle();
-    let request = sweep_request();
-    let per_instance = Engine::builder()
-        .platform(PLATFORM)
-        .backend(PerInstanceLegacyGnn(bundle.clone()))
-        .build();
-    per_instance.advise(&request).unwrap(); // warm the frontend cache
-    c.bench_function("engine_gnn_sweep_advise_per_instance", |b| {
-        b.iter(|| per_instance.advise(std::hint::black_box(&request)).unwrap())
-    });
-    let batched = Engine::builder()
-        .platform(PLATFORM)
-        .backend(GnnBackend::new(bundle, PLATFORM))
-        .build();
-    batched.advise(&request).unwrap();
-    c.bench_function("engine_gnn_sweep_advise_batched", |b| {
-        b.iter(|| batched.advise(std::hint::black_box(&request)).unwrap())
-    });
-}
-
 fn trained_bundle() -> TrainedModel {
     let ds = collect_platform(
         PLATFORM,
@@ -275,9 +205,9 @@ fn trained_bundle() -> TrainedModel {
     bundle
 }
 
-/// Explicit median-of-N timing of the three comparisons, recorded to
-/// `BENCH_gnn.json` so the speedups are machine-readable across PRs.
-fn record_json(c: &mut Criterion) {
+/// Median-of-N timing of the three comparisons and the size sweep, recorded
+/// to `BENCH_gnn.json` so the speedups are machine-readable across changes.
+fn main() {
     let reps = if smoke() { 1 } else { 5 };
     let prepared = prepared_dataset();
     let config = train_config();
@@ -426,12 +356,4 @@ fn record_json(c: &mut Criterion) {
         json,
     )
     .expect("write BENCH_gnn.json at the repository root");
-    let _ = c; // criterion config is irrelevant to the explicit timing pass
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_training_epoch, bench_forward_backward, bench_sweep_advise, record_json
-}
-criterion_main!(benches);

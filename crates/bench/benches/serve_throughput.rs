@@ -11,15 +11,14 @@
 //! * **per-request** — max-batch 1: every request runs its own engine
 //!   call, the pre-serving baseline shape.
 //!
-//! Besides the criterion registration, the explicit pass records p50/p99
-//! latency and throughput to `BENCH_serve.json` at the repository root
-//! (schema 2: the schema-1 16-client batched/per-request comparison is
-//! kept verbatim, plus a `sweep` over 16/256/4096 concurrent keep-alive
-//! connections against the event loop, recording req/s, p50/p99, the
-//! coalesced-batch size histogram, and the server thread count).
+//! The run records p50/p99 latency and throughput to `BENCH_serve.json` at
+//! the repository root (schema 2: the schema-1 16-client
+//! batched/per-request comparison is kept verbatim, plus a `sweep` over
+//! 16/256/4096 concurrent keep-alive connections against the event loop,
+//! recording req/s, p50/p99, the coalesced-batch size histogram, and the
+//! server thread count).
 //! `PARAGRAPH_BENCH_SMOKE=1` runs tiny counts and skips the JSON rewrite.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use pg_advisor::LaunchConfig;
 use pg_dataset::{collect_platform, DatasetScale, PipelineConfig};
 use pg_engine::{AdviseRequest, Engine};
@@ -269,7 +268,7 @@ struct BenchReport {
     sweep: Vec<SweepPoint>,
 }
 
-fn record_json(c: &mut Criterion) {
+fn main() {
     let (clients, per_client) = if smoke() { (4, 5) } else { (16, 60) };
     let engine = Arc::new(
         Engine::builder()
@@ -374,12 +373,4 @@ fn record_json(c: &mut Criterion) {
         json,
     )
     .expect("write BENCH_serve.json at the repository root");
-    let _ = c;
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = record_json
-}
-criterion_main!(benches);

@@ -1,10 +1,12 @@
 //! # pg-bench
 //!
-//! Shared infrastructure for the experiment harness. Every `[[bench]]`
-//! target of this crate regenerates one table or figure of the paper; the
-//! heavy work (dataset generation, model training) is funnelled through the
-//! cached runners in this library so that, for example, the training run
-//! behind Table III is reused by Figures 4, 5 and 6 instead of being repeated.
+//! Shared infrastructure for the experiment harness. Each `table*`/`fig*`
+//! `[[bench]]` target of this crate regenerates one table or figure of the
+//! paper; the heavy work (dataset generation, model training) is funnelled
+//! through the cached runners in this library so that, for example, the
+//! training run behind Table III is reused by Figures 4, 5 and 6 instead of
+//! being repeated. Timing lives in `pgbench`; the `gnn_training` and
+//! `serve_throughput` benches record only what it does not measure yet.
 //!
 //! Scale control:
 //! * `PARAGRAPH_FAST=1` — small datasets, few epochs (smoke runs / CI),
@@ -31,15 +33,6 @@ pub const EXPERIMENT_SEED: u64 = 42;
 /// Scale selected through the environment.
 pub fn bench_scale() -> DatasetScale {
     DatasetScale::from_env()
-}
-
-/// Dataset pipeline configuration for a scale.
-pub fn pipeline_config(scale: DatasetScale) -> PipelineConfig {
-    PipelineConfig {
-        scale,
-        seed: EXPERIMENT_SEED,
-        noise_sigma: 0.04,
-    }
 }
 
 /// Training configuration matched to a dataset scale.
@@ -158,11 +151,12 @@ pub fn dataset(platform: Platform, scale: DatasetScale) -> PlatformDataset {
 /// store (`target/paragraph-cache/shards`), printing the run summary so
 /// every experiment reports how much was resumed vs. recomputed.
 pub fn dataset_outcome(platform: Platform, scale: DatasetScale) -> GenerationOutcome {
-    let outcome = generate_platform(
-        platform,
-        &pipeline_config(scale),
-        &ShardStore::default_location(),
-    );
+    let config = PipelineConfig {
+        scale,
+        seed: EXPERIMENT_SEED,
+        noise_sigma: 0.04,
+    };
+    let outcome = generate_platform(platform, &config, &ShardStore::default_location());
     println!("  [shard store] {}", outcome.summary);
     outcome
 }

@@ -12,10 +12,11 @@ use crate::error::{FrontendError, FrontendErrorKind};
 use crate::limits::ParseOptions;
 use crate::token::{Keyword, Punct, SourceLocation, Token, TokenKind};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Lexer state over a source string.
 pub struct Lexer<'src> {
-    src: &'src [u8],
+    src: &'src str,
     pos: usize,
     line: u32,
     column: u32,
@@ -39,7 +40,7 @@ impl<'src> Lexer<'src> {
     /// Create a lexer over the given source text with an explicit budget.
     pub fn with_options(source: &'src str, options: ParseOptions) -> Self {
         Self {
-            src: source.as_bytes(),
+            src: source,
             pos: 0,
             line: 1,
             column: 1,
@@ -96,11 +97,11 @@ impl<'src> Lexer<'src> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek_ahead(&self, offset: usize) -> Option<u8> {
-        self.src.get(self.pos + offset).copied()
+        self.src.as_bytes().get(self.pos + offset).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -165,22 +166,19 @@ impl<'src> Lexer<'src> {
         }
     }
 
-    fn read_line(&mut self) -> String {
-        let mut out = String::new();
-        while let Some(c) = self.peek() {
-            if c == b'\n' {
-                break;
-            }
-            // Line continuation inside pragmas/defines.
-            if c == b'\\' && self.peek_ahead(1) == Some(b'\n') {
-                self.bump();
-                self.bump();
-                out.push(' ');
-                continue;
-            }
-            out.push(self.bump().unwrap() as char);
+    /// The text of the directive that starts here, just past its `#`, with
+    /// each comment and line splice read as one space (see
+    /// [`scan_directive`]).
+    fn read_directive(&mut self) -> Result<String, FrontendError> {
+        let scanned = scan_directive(self.src, self.pos);
+        let to = scanned.as_ref().map_or_else(|&comment| comment, |d| d.end);
+        while self.pos < to {
+            self.bump();
         }
-        out
+        scanned.map(|d| d.text(self.src)).map_err(|_| {
+            FrontendError::lex(self.location(), "unterminated block comment")
+                .with_kind(FrontendErrorKind::UnterminatedComment)
+        })
     }
 
     fn next_token(&mut self) -> Result<Token, FrontendError> {
@@ -200,7 +198,7 @@ impl<'src> Lexer<'src> {
             // Preprocessor lines.
             if c == b'#' {
                 self.bump();
-                let line = self.read_line();
+                let line = self.read_directive()?;
                 let trimmed = line.trim();
                 if let Some(rest) = trimmed.strip_prefix("pragma") {
                     let rest = rest.trim();
@@ -488,6 +486,80 @@ impl<'src> Lexer<'src> {
     }
 }
 
+/// A preprocessing directive as C reads it: comments are removed before
+/// directives are processed (translation phase 3 comes before phase 4).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Directive {
+    /// Byte ranges of the directive's code in the source, in order. Between
+    /// two of them lies a comment or a line splice, each of which reads as
+    /// one space.
+    pub code: Vec<Range<usize>>,
+    /// Byte offset just past the directive: its closing newline, or the end
+    /// of the source.
+    pub end: usize,
+}
+
+impl Directive {
+    /// The directive's code as one string, a space in place of each comment
+    /// and line splice. `source` is the text it was scanned from.
+    pub fn text(&self, source: &str) -> String {
+        let code: Vec<&str> = self.code.iter().map(|r| &source[r.clone()]).collect();
+        code.join(" ")
+    }
+}
+
+/// Scans the directive whose text starts at byte `start` of `source`, just
+/// past its `#`. The directive runs to the end of its line, and a
+/// backslash-newline continues it. A `//` comment ends it; a `/* … */`
+/// comment is one space, also when it closes on a later line, where the
+/// directive goes on. A `//` or `/*` inside a string or character literal
+/// is text.
+///
+/// Errors with the byte offset of a block comment that never closes.
+pub fn scan_directive(source: &str, start: usize) -> Result<Directive, usize> {
+    let bytes = source.as_bytes();
+    let mut code = Vec::new();
+    let mut from = start;
+    let mut quote = None;
+    let mut i = start;
+    while i < bytes.len() && bytes[i] != b'\n' {
+        match (quote, bytes[i], bytes.get(i + 1)) {
+            (_, b'\\', Some(b'\n')) => {
+                code.push(from..i);
+                i += 2;
+                from = i;
+            }
+            (Some(_), b'\\', _) => i = (i + 2).min(bytes.len()),
+            (Some(open), c, _) => {
+                quote = (c != open).then_some(open);
+                i += 1;
+            }
+            (None, c @ (b'"' | b'\''), _) => {
+                quote = Some(c);
+                i += 1;
+            }
+            (None, b'/', Some(b'/')) => {
+                code.push(from..i);
+                // The comment, and with it the directive, ends at the first
+                // newline that no backslash splices.
+                let end = (i + 2..bytes.len())
+                    .find(|&j| bytes[j] == b'\n' && bytes[j - 1] != b'\\')
+                    .unwrap_or(bytes.len());
+                return Ok(Directive { code, end });
+            }
+            (None, b'/', Some(b'*')) => {
+                code.push(from..i);
+                let close = source[i + 2..].find("*/").ok_or(i)?;
+                i += 2 + close + 2;
+                from = i;
+            }
+            _ => i += 1,
+        }
+    }
+    code.push(from..i);
+    Ok(Directive { code, end: i })
+}
+
 /// Convenience function: lex a full source string with default limits.
 pub fn tokenize(source: &str) -> Result<Vec<Token>, FrontendError> {
     Lexer::new(source).tokenize()
@@ -587,6 +659,66 @@ mod tests {
             }
             other => panic!("expected pragma, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_comment_on_a_directive_line_is_a_comment() {
+        use crate::omp::{parse_pragma, OmpClause};
+        let body = "for (int i = 0; i < 64; i++) { a[i] = 0.0; }\n}\n";
+        let clauses = |pragma: &str| {
+            let source = format!("void f(float *a) {{\n{pragma}\n{body}");
+            crate::parse(&source).unwrap();
+            let text = tokenize(&source)
+                .unwrap()
+                .into_iter()
+                .find_map(|t| match t.kind {
+                    TokenKind::OmpPragma(text) => Some(text),
+                    _ => None,
+                });
+            parse_pragma(&text.expect("one pragma")).clauses
+        };
+        // `//` ends the directive.
+        assert_eq!(
+            clauses("#pragma omp parallel for // num_threads(8)"),
+            vec![]
+        );
+        // `/* … */` is one space, also when it runs past the newline, and the
+        // directive goes on after it.
+        assert_eq!(
+            clauses("#pragma omp parallel for /* collapse(2) */"),
+            vec![]
+        );
+        assert_eq!(
+            clauses("#pragma omp parallel for /* collapse(2)\n */"),
+            vec![]
+        );
+        assert_eq!(
+            clauses("#pragma omp parallel for /* collapse(2)\n */ num_threads(4)"),
+            vec![OmpClause::NumThreads(4)]
+        );
+        assert_eq!(
+            clauses("#pragma omp parallel/**/for num_threads(4) // \\\n collapse(2)"),
+            vec![OmpClause::NumThreads(4)]
+        );
+
+        // On a `#define` line too.
+        let toks = kinds("#define N 64 /* the size\n */\nint a[N];");
+        assert!(toks.contains(&TokenKind::IntLiteral(64)));
+        assert!(!toks.contains(&TokenKind::Identifier("N".into())));
+        // Inside a literal, a comment opener is text.
+        let toks = kinds("#define URL \"http://x/*\" // the page\nchar *s = URL;");
+        assert!(toks.contains(&TokenKind::StringLiteral("http://x/*".into())));
+
+        // A comment that never closes is still an error, at its opening.
+        let err = tokenize("int x;\n#pragma omp parallel for /* collapse(2)\nint y;").unwrap_err();
+        assert_eq!(err.kind, FrontendErrorKind::UnterminatedComment);
+        assert_eq!(
+            err.location,
+            SourceLocation {
+                line: 2,
+                column: 26
+            }
+        );
     }
 
     #[test]

@@ -580,9 +580,11 @@ fn operator_preserving_tokens(line: &str) -> Vec<String> {
 }
 
 /// Produce a semantically-identical twin of `source` that differs only in
-/// whitespace and comments. Pragma and preprocessor lines are preserved
-/// verbatim (they are line-delimited, so inserting newlines into them would
-/// change meaning); everywhere else, random spaces, newlines, and `/* */`
+/// whitespace and comments. Preprocessor lines are line-delimited, so
+/// inserting newlines into them would change meaning: they keep their text,
+/// and some `#pragma` lines gain a trailing `/* */` or `//` comment, which C
+/// removes before it reads the directive (one block comment runs past the
+/// line's end). Everywhere else, random spaces, newlines, and `/* */`
 /// comments are inserted between rough tokens.
 ///
 /// Used by the differential test: `analyze` verdicts must be identical for
@@ -592,8 +594,10 @@ pub fn reformat(source: &str, rng: &mut Rng) -> String {
     for line in source.lines() {
         let trimmed = line.trim_start();
         if trimmed.starts_with('#') {
-            // Preprocessor / pragma lines are line-delimited: keep verbatim.
             out.push_str(line);
+            if trimmed.starts_with("#pragma") {
+                out.push_str([" /* noise */", " // noise", " /* noise\n */", ""][rng.below(4)]);
+            }
             out.push('\n');
             continue;
         }
@@ -660,7 +664,11 @@ mod tests {
             let strip = |s: &str| {
                 // Token stream must be identical after removing whitespace
                 // and the injected comments.
-                let no_comments = s.replace("/* noise */", " ").replace("/* trailing */", " ");
+                let no_comments = s
+                    .replace("/* noise */", " ")
+                    .replace("/* noise\n */", " ")
+                    .replace("// noise", " ")
+                    .replace("/* trailing */", " ");
                 no_comments.split_whitespace().collect::<Vec<_>>().join(" ")
             };
             assert_eq!(

@@ -8,8 +8,8 @@
 //!   run to run.
 //! * `Beam` with the default densified grid reaches the exhaustive optimum
 //!   on every catalogue kernel × platform with at most half the exhaustive
-//!   evaluation count (the PR's acceptance criterion, also reported by the
-//!   `tune_search` bench into `BENCH_tune.json`).
+//!   evaluation count. pgbench's `tune_dense` workload times both searches
+//!   over the same densified grid.
 
 use pg_advisor::ParallelismBudget;
 use pg_engine::{AdviseRequest, Engine};

@@ -304,10 +304,12 @@ fn sharded_default_scale_is_bit_identical_to_the_reference_pipeline() {
 }
 
 /// A second run over an already-populated store must resume every shard
-/// (zero misses) and be at least twice as fast as the cold run — the
-/// pipeline's reason to exist. Wall-clock ratios are noisy on loaded CI
-/// runners, so the timing claim gets three attempts (each with a fresh
-/// store); the functional resume assertions are checked on every attempt.
+/// (zero misses) and, at the Fast scale this test runs, be at least twice
+/// as fast as the cold run. That holds at Fast and Default scale only: at
+/// Full scale a resumed run is slower than re-measuring (DESIGN.md, "Store
+/// layout"). Wall-clock ratios are noisy on loaded CI runners, so the
+/// timing claim gets three attempts (each with a fresh store); the
+/// functional resume assertions are checked on every attempt.
 #[test]
 fn warm_resume_hits_every_shard_and_is_at_least_twice_as_fast() {
     let config = PipelineConfig {
