@@ -1,18 +1,19 @@
-//! Legality gate over generated variants.
+//! Legality assessment of generated variants.
 //!
 //! Every variant the generator proposes can be assessed against the static
-//! analysis in [`pg_analyze`] before it is ranked or served: variants whose
-//! verdict is [`LegalityVerdict::Race`] are pruned, variants that would be
-//! safe with extra data-sharing clauses pass through unchanged (clause
-//! repair is opt-in via [`repair_instance`], so default rankings stay
-//! bit-identical to the ungated engine).
+//! analysis in [`pg_analyze`] before it is ranked or served. The engine
+//! prunes catalogue variants whose verdict is
+//! [`LegalityVerdict::Race`](pg_analyze::LegalityVerdict::Race) (recording
+//! each as a [`PrunedVariant`]); variants that would be safe with extra
+//! data-sharing clauses pass through unchanged, and the suggested clauses
+//! are reported as diagnostics, never applied.
 //!
 //! Catalogue kernels are assessed under the documented per-kernel tolerances
 //! ([`pg_analyze::catalogue_tolerances`]); arbitrary user sources get the
 //! full conservative treatment.
 
 use crate::generator::KernelInstance;
-use pg_analyze::{analyze_source_tolerant, catalogue_tolerances, AnalysisReport, LegalityVerdict};
+use pg_analyze::{analyze_source_tolerant, catalogue_tolerances, AnalysisReport};
 use serde::{Deserialize, Serialize};
 
 /// A variant pruned by the gate, with the diagnostic that killed it.
@@ -24,16 +25,6 @@ pub struct PrunedVariant {
     pub reason: String,
 }
 
-/// Result of gating a batch of instances.
-#[derive(Debug, Default)]
-pub struct GateOutcome {
-    /// Instances whose verdict was `Safe` or `SafeWithClauses`, paired with
-    /// their analysis reports, in input order.
-    pub admitted: Vec<(KernelInstance, AnalysisReport)>,
-    /// Variants rejected as races.
-    pub pruned: Vec<PrunedVariant>,
-}
-
 /// Analyse one instance's source under the catalogue tolerances for its
 /// kernel. Instances of unknown (non-catalogue) kernels are analysed with no
 /// tolerances.
@@ -42,140 +33,38 @@ pub fn assess_instance(instance: &KernelInstance) -> AnalysisReport {
     analyze_source_tolerant(&instance.source, catalogue_tolerances(&full_name))
 }
 
-/// Gate a batch of instances: admit safe ones, prune provable races.
-pub fn gate_instances(instances: Vec<KernelInstance>) -> GateOutcome {
-    let mut outcome = GateOutcome::default();
-    for instance in instances {
-        let report = assess_instance(&instance);
-        match &report.verdict {
-            LegalityVerdict::Race(reason) => outcome.pruned.push(PrunedVariant {
-                variant: instance.variant.name().to_string(),
-                reason: reason.clone(),
-            }),
-            _ => outcome.admitted.push((instance, report)),
-        }
-    }
-    outcome
-}
-
-/// Opt-in clause repair: when the verdict is
-/// [`LegalityVerdict::SafeWithClauses`], append the suggested clauses to the
-/// instance's OpenMP pragma and return the repaired instance. Returns `None`
-/// when there is nothing to repair (already safe, racy, or the source has no
-/// pragma line to extend).
-pub fn repair_instance(instance: &KernelInstance) -> Option<KernelInstance> {
-    let report = assess_instance(instance);
-    let LegalityVerdict::SafeWithClauses(clauses) = &report.verdict else {
-        return None;
-    };
-    let suffix = clauses.join(" ");
-    let mut repaired_any = false;
-    let repaired: Vec<String> = instance
-        .source
-        .lines()
-        .map(|line| {
-            let trimmed = line.trim_start();
-            if trimmed.starts_with("#pragma omp") && !trimmed.starts_with("#pragma omp target data")
-            {
-                repaired_any = true;
-                format!("{line} {suffix}")
-            } else {
-                line.to_string()
-            }
-        })
-        .collect();
-    if !repaired_any {
-        return None;
-    }
-    let mut fixed = instance.clone();
-    fixed.source = repaired.join("\n");
-    if instance.source.ends_with('\n') {
-        fixed.source.push('\n');
-    }
-    Some(fixed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::instantiate;
     use crate::launch::LaunchConfig;
     use crate::variant::Variant;
+    use pg_analyze::LegalityVerdict;
     use pg_kernels::find_kernel;
 
-    fn mm_instance(variant: Variant) -> KernelInstance {
+    #[test]
+    fn seeded_race_is_assessed_as_a_race() {
         let mm = find_kernel("MM/matmul").unwrap();
-        instantiate(
+        let mut instance = instantiate(
             &mm,
-            variant,
+            Variant::Gpu,
             &mm.default_sizes(),
             LaunchConfig {
                 teams: 80,
                 threads: 128,
             },
-        )
-    }
-
-    #[test]
-    fn catalogue_instances_are_admitted() {
-        let mm = find_kernel("MM/matmul").unwrap();
-        let sizes = mm.default_sizes();
-        let launch = LaunchConfig {
-            teams: 80,
-            threads: 128,
-        };
-        let instances: Vec<KernelInstance> = Variant::applicable_variants(&mm)
-            .into_iter()
-            .map(|v| instantiate(&mm, v, &sizes, launch))
-            .collect();
-        let count = instances.len();
-        let outcome = gate_instances(instances);
-        assert_eq!(outcome.admitted.len(), count);
-        assert!(outcome.pruned.is_empty());
-    }
-
-    #[test]
-    fn seeded_race_is_pruned() {
-        let mut instance = mm_instance(Variant::Gpu);
+        );
         // Mutate the final store to also read the next parallel row: a
         // classic distance-1 loop-carried race on `i`.
         let n = instance.sizes["N"];
         instance.source = instance
             .source
             .replace("= sum;", &format!("= sum + c[(i + 1) * {n} + j];"));
-        assert!(
-            assess_instance(&instance).verdict.is_race(),
-            "mutant must race: {}",
-            instance.source
-        );
-        let outcome = gate_instances(vec![instance]);
-        assert!(outcome.admitted.is_empty());
-        assert_eq!(outcome.pruned.len(), 1);
-        assert_eq!(outcome.pruned[0].variant, "gpu");
-        assert!(outcome.pruned[0].reason.contains("loop-carried-dependence"));
-    }
-
-    #[test]
-    fn repair_appends_suggested_clauses() {
-        let mut instance = mm_instance(Variant::Cpu);
-        // Swap in a dot-product body whose accumulator lives outside the
-        // parallel loop, so the analysis suggests a reduction clause.
-        instance.source = "void dot(float *a, float *b, float *out) {\n    \
-             float sum = 0.0;\n    \
-             #pragma omp parallel for\n    \
-             for (int i = 0; i < 256; i++) { sum += a[i] * b[i]; }\n    \
-             out[0] = sum;\n}\n"
-            .to_string();
-        let repaired = repair_instance(&instance).expect("suggestion exists");
-        assert!(repaired
-            .source
-            .contains("#pragma omp parallel for reduction(+:sum)"));
-        // The repaired source must itself pass the gate cleanly.
-        assert_eq!(assess_instance(&repaired).verdict, LegalityVerdict::Safe);
-    }
-
-    #[test]
-    fn safe_instance_needs_no_repair() {
-        assert!(repair_instance(&mm_instance(Variant::Cpu)).is_none());
+        match assess_instance(&instance).verdict {
+            LegalityVerdict::Race(reason) => {
+                assert!(reason.contains("loop-carried-dependence"), "{reason}")
+            }
+            other => panic!("mutant must race, got {other:?}: {}", instance.source),
+        }
     }
 }

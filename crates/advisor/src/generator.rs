@@ -10,7 +10,7 @@
 
 use crate::launch::{LaunchConfig, ParallelismBudget};
 use crate::variant::Variant;
-use pg_frontend::lexer::scan_directive;
+use pg_frontend::lexer::{line_comment_end, scan_directive};
 use pg_kernels::KernelTemplate;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -124,21 +124,19 @@ const LAUNCH_CLAUSE_NAMES: [&str; 3] = ["num_threads", "num_teams", "thread_limi
 /// clause.
 ///
 /// Directives are found the way the frontend's lexer finds them: comments
-/// and string or character literals are skipped, and a `#` outside them
-/// starts a directive that [`scan_directive`] reads, so a comment on the
-/// directive's line is neither cut nor counted.
+/// (a `//` one up to [`line_comment_end`], past spliced newlines) and string
+/// or character literals are skipped, and a `#` outside them starts a
+/// directive that [`scan_directive`] reads, so a comment on the directive's
+/// line is neither cut nor counted.
 fn launch_clause_at(source: &str, clause: &str) -> Option<usize> {
     let bytes = source.as_bytes();
-    let past = |from: usize, pattern: &str| {
-        source[from..]
-            .find(pattern)
-            .map_or(bytes.len(), |at| from + at + pattern.len())
-    };
     let mut i = 0;
     while i < bytes.len() {
         i = match (bytes[i], bytes.get(i + 1)) {
-            (b'/', Some(b'/')) => past(i, "\n"),
-            (b'/', Some(b'*')) => past(i + 2, "*/"),
+            (b'/', Some(b'/')) => line_comment_end(source, i),
+            (b'/', Some(b'*')) => source[i + 2..]
+                .find("*/")
+                .map_or(bytes.len(), |at| i + 2 + at + 2),
             (quote @ (b'"' | b'\''), _) => {
                 let mut j = i + 1;
                 while j < bytes.len() && bytes[j] != quote {
@@ -561,6 +559,12 @@ mod tests {
              /*\n#pragma omp parallel for num_threads(8)\n*/\n\
              #pragma omp parallel for\n\
              for (int i = 0; i < 64; i++) { a[i] = \"num_threads(8)\"[0]; }\n}\n",
+        );
+        // Nor in a pragma line that a splice pulls into a `//` comment.
+        keys_to_itself(
+            "void f(float *a) {\n// note \\\n#pragma omp parallel for num_threads(8)\n\
+             #pragma omp parallel for\n\
+             for (int i = 0; i < 64; i++) { a[i] = 0.0; }\n}\n",
         );
         // A pragma line that names another launch keeps deciding it.
         keys_to_itself(

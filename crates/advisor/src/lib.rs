@@ -3,9 +3,9 @@
 //! Substitute for the OpenMP Advisor's Kernel Analysis and Code
 //! Transformation modules: it generates the six kernel variants of the paper
 //! (`cpu`, `cpu_collapse`, `gpu`, `gpu_collapse`, `gpu_mem`,
-//! `gpu_collapse_mem`), sweeps problem sizes and launch configurations to
-//! build the dataset, and can rewrite OpenMP pragmas on already-parsed
-//! kernels.
+//! `gpu_collapse_mem`) as source from templates, sweeps problem sizes and
+//! launch configurations to build the dataset, and assesses each variant's
+//! legality with `pg-analyze`.
 //!
 //! ```
 //! use pg_advisor::{Variant, LaunchConfig, instantiate};
@@ -23,10 +23,9 @@
 pub mod gate;
 pub mod generator;
 pub mod launch;
-pub mod rewrite;
 pub mod variant;
 
-pub use gate::{assess_instance, gate_instances, repair_instance, GateOutcome, PrunedVariant};
+pub use gate::{assess_instance, PrunedVariant};
 pub use generator::{
     generate_for_kernel, generate_instances, instantiate, BodyKey, GeneratorConfig, KernelInstance,
 };

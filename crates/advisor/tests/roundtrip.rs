@@ -1,18 +1,19 @@
 //! Roundtrip pins on the layers a tuner mutates.
 //!
-//! `pg-tune` explores the variant × launch space by regenerating pragmas and
-//! sources; if variant naming or the pragma → AST → source → AST loop ever
+//! `pg-tune` explores the variant × launch space by instantiating each
+//! variant's source; if variant naming or the pragma an instance spells ever
 //! drifted, the search would silently explore a different space than it
 //! reports. Two pins:
 //!
 //! * `Variant::from_name(v.name()) == Some(v)` for every variant (and junk
 //!   names stay rejected) — the names are the wire/report identity of a
 //!   tuning result.
-//! * `rewrite_to_source` → re-parse → pragma extraction reproduces the exact
-//!   clause set the variant asked for, on every catalogue kernel ×
-//!   applicable variant × a sweep of launch configurations.
+//! * Parsing an `instantiate`d source (the source the engine prices) and
+//!   extracting its pragma reproduces the exact clause set the variant
+//!   asked for, on every catalogue kernel × applicable variant × a sweep of
+//!   launch configurations.
 
-use pg_advisor::{rewrite, LaunchConfig, Variant};
+use pg_advisor::{instantiate, LaunchConfig, Variant};
 use pg_frontend::omp::MapDirection;
 use pg_kernels::{all_kernels, TransferDirection};
 use proptest::prelude::*;
@@ -34,12 +35,10 @@ proptest! {
     }
 }
 
-/// Build the serial version of a kernel (no pragma), rewrite the variant's
-/// pragma onto it through the AST layer, re-parse the printed source, and
-/// check the extracted directive carries exactly the clauses the variant
-/// describes.
+/// Instantiate each variant, parse its source, and check the extracted
+/// directive carries exactly the clauses the variant describes.
 #[test]
-fn rewrite_to_source_roundtrips_every_variant_clause_set() {
+fn instantiated_sources_carry_every_variant_clause_set() {
     let launches = [
         LaunchConfig {
             teams: 40,
@@ -56,36 +55,28 @@ fn rewrite_to_source_roundtrips_every_variant_clause_set() {
     ];
     for kernel in all_kernels() {
         let sizes = kernel.default_sizes();
-        let serial = kernel.instantiate(&sizes, "");
-        let serial_ast = pg_frontend::parse(&serial)
-            .unwrap_or_else(|e| panic!("{}: serial source must parse: {e}", kernel.full_name()));
         for variant in Variant::applicable_variants(&kernel) {
             for launch in launches {
-                let pragma = variant.pragma(&kernel, &sizes, launch.teams, launch.threads);
-                let pragma_text = pragma
-                    .strip_prefix("#pragma omp ")
-                    .expect("variant pragmas start with `#pragma omp `");
-
-                let source = rewrite::rewrite_to_source(&serial_ast, pragma_text);
-                let reparsed = pg_frontend::parse(&source).unwrap_or_else(|e| {
+                let source = instantiate(&kernel, variant, &sizes, launch).source;
+                let ast = pg_frontend::parse(&source).unwrap_or_else(|e| {
                     panic!(
-                        "{} {}: rewritten source must re-parse: {e}",
+                        "{} {}: instantiated source must parse: {e}",
                         kernel.full_name(),
                         variant.name()
                     )
                 });
-                let directive_id = reparsed
+                let directive_id = ast
                     .preorder()
                     .into_iter()
-                    .find(|&id| reparsed.kind(id).is_omp_directive())
+                    .find(|&id| ast.kind(id).is_omp_directive())
                     .unwrap_or_else(|| {
                         panic!(
-                            "{} {}: rewritten source lost its directive",
+                            "{} {}: instantiated source has no directive",
                             kernel.full_name(),
                             variant.name()
                         )
                     });
-                let directive = reparsed
+                let directive = ast
                     .node(directive_id)
                     .data
                     .omp

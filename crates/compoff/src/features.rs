@@ -7,7 +7,7 @@
 //! using the `pg-frontend` analyses.
 
 use pg_frontend::analysis::{self, ConstEnv};
-use pg_frontend::{parse, Ast, AstKind, FrontendError};
+use pg_frontend::{parse, Ast, FrontendError};
 use serde::{Deserialize, Serialize};
 
 /// Number of features in the COMPOFF vector.
@@ -76,7 +76,7 @@ pub fn extract_from_ast(ast: &Ast, teams: u64, threads: u64) -> CompoffFeatures 
     let env = ConstEnv::new();
     let work = analysis::estimate_work(ast, ast.root(), &env);
     let (bytes_to, bytes_from) = transfer_bytes(ast);
-    let parallel_iterations = distributed_iterations(ast, &env);
+    let parallel_iterations = analysis::distributed_iterations(ast, &env);
     CompoffFeatures {
         flops: work.flops,
         int_ops: work.int_ops,
@@ -126,46 +126,6 @@ fn parse_section_extent(item: &str) -> Option<f64> {
     let section = &item[open + 1..close];
     let extent = section.split(':').nth(1)?.trim();
     extent.parse::<f64>().ok()
-}
-
-/// Trip count of the distributed loop space (outer loop, times the second
-/// level when the directive collapses the nest).
-fn distributed_iterations(ast: &Ast, env: &ConstEnv) -> f64 {
-    let directive = ast
-        .preorder()
-        .into_iter()
-        .find(|&id| ast.kind(id).is_omp_directive());
-    let (loop_node, collapse) = match directive {
-        Some(d) => {
-            let collapse = ast
-                .node(d)
-                .data
-                .omp
-                .as_ref()
-                .map(|o| o.collapse_depth())
-                .unwrap_or(1);
-            (
-                ast.preorder_from(d)
-                    .into_iter()
-                    .find(|&id| ast.kind(id) == AstKind::ForStmt),
-                collapse,
-            )
-        }
-        None => (ast.find_first(AstKind::ForStmt), 1),
-    };
-    let Some(outer) = loop_node else { return 1.0 };
-    analysis::loop_nest(ast, outer, env)
-        .iter()
-        .take(collapse as usize)
-        .map(|level| {
-            level
-                .info
-                .as_ref()
-                .and_then(|i| i.trip_count)
-                .unwrap_or(analysis::DEFAULT_UNKNOWN_TRIP_COUNT) as f64
-        })
-        .product::<f64>()
-        .max(1.0)
 }
 
 #[cfg(test)]

@@ -410,15 +410,6 @@ pub fn collect_platform_unsharded(platform: Platform, config: &PipelineConfig) -
     merge_shard_points(platform, points)
 }
 
-/// Collect the datasets of all four platforms through the
-/// workspace-default shard store.
-pub fn collect_all(config: &PipelineConfig) -> Vec<PlatformDataset> {
-    generate_all(config, &ShardStore::default_location())
-        .into_iter()
-        .map(|outcome| outcome.dataset)
-        .collect()
-}
-
 /// Sharded generation for all four platforms, one [`generate_platform`]
 /// run each, in [`Platform::ALL`] order.
 pub fn generate_all(config: &PipelineConfig, store: &ShardStore) -> Vec<GenerationOutcome> {

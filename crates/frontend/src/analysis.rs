@@ -3,7 +3,8 @@
 //! * constant evaluation of integer expressions,
 //! * canonical-loop recognition and trip-count computation (the information
 //!   ParaGraph encodes as edge weights),
-//! * loop-nest discovery (used for `collapse(2)` legality checks), and
+//! * loop-nest discovery (used for `collapse(2)` legality checks and the
+//!   distributed iteration space), and
 //! * a loop-aware work estimate (floating point operations, loads, stores)
 //!   used by the performance simulator and the COMPOFF baseline features.
 
@@ -393,6 +394,50 @@ fn collect_nest(
             }
         }
     }
+}
+
+/// Iterations of the loop space that the first OpenMP directive of `ast`
+/// distributes: the trip counts of the first `collapse` levels of the nest
+/// rooted at the directive's loop, multiplied in nest order, with
+/// [`DEFAULT_UNKNOWN_TRIP_COUNT`] for a trip count that is not static, and
+/// at least 1. Without a directive the first loop is distributed; without a
+/// loop, one iteration.
+pub fn distributed_iterations(ast: &Ast, env: &ConstEnv) -> f64 {
+    let directive = ast
+        .preorder()
+        .into_iter()
+        .find(|&id| ast.kind(id).is_omp_directive());
+    let (loop_node, collapse) = match directive {
+        Some(d) => {
+            let collapse = ast
+                .node(d)
+                .data
+                .omp
+                .as_ref()
+                .map_or(1, |o| o.collapse_depth());
+            let associated = ast
+                .preorder_from(d)
+                .into_iter()
+                .find(|&id| ast.kind(id) == AstKind::ForStmt);
+            (associated, collapse)
+        }
+        None => (ast.find_first(AstKind::ForStmt), 1),
+    };
+    let Some(outer) = loop_node else {
+        return 1.0;
+    };
+    loop_nest(ast, outer, env)
+        .iter()
+        .take(collapse as usize)
+        .map(|level| {
+            level
+                .info
+                .as_ref()
+                .and_then(|i| i.trip_count)
+                .unwrap_or(DEFAULT_UNKNOWN_TRIP_COUNT) as f64
+        })
+        .product::<f64>()
+        .max(1.0)
 }
 
 /// Whether the loop nest rooted at `outer_for` can legally be collapsed with
@@ -867,6 +912,24 @@ mod tests {
         assert_eq!(nest[2].depth, 2);
         assert_eq!(nest[0].info.as_ref().unwrap().trip_count, Some(8));
         assert_eq!(nest[2].info.as_ref().unwrap().trip_count, Some(32));
+    }
+
+    #[test]
+    fn distributed_iterations_follow_the_directive_and_its_collapse() {
+        let iterations = |src: &str| distributed_iterations(&parse(src).unwrap(), &ConstEnv::new());
+        let nest = "for (int i = 0; i < 8; i++) { for (int j = 0; j < n; j++) { } }";
+        // No directive: the first loop alone.
+        assert_eq!(iterations(&format!("void f(int n) {{ {nest} }}")), 8.0);
+        // `collapse(2)` multiplies in the second level; its bound is not
+        // static, so it counts as the default trip count.
+        let collapsed =
+            format!("void f(int n) {{\n#pragma omp parallel for collapse(2)\n{nest}\n}}");
+        assert_eq!(
+            iterations(&collapsed),
+            8.0 * DEFAULT_UNKNOWN_TRIP_COUNT as f64
+        );
+        // No loop at all: one iteration.
+        assert_eq!(iterations("void f() { int x = 1; }"), 1.0);
     }
 
     #[test]

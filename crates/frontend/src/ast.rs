@@ -7,7 +7,7 @@
 //! `CompoundStmt`, ...).
 //!
 //! Child ordering conventions (used by the ParaGraph builder and the
-//! pretty-printer):
+//! analyses):
 //!
 //! * `ForStmt` children: `[init, cond, body, increment]` — the order used in
 //!   Figure 2 of the paper (ForExec: init→cond, cond→body; ForNext:

@@ -130,10 +130,8 @@ impl<'src> Lexer<'src> {
                     self.bump();
                 }
                 Some(b'/') if self.peek_ahead(1) == Some(b'/') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
+                    let end = line_comment_end(self.src, self.pos);
+                    while self.pos < end {
                         self.bump();
                     }
                 }
@@ -167,7 +165,7 @@ impl<'src> Lexer<'src> {
     }
 
     /// The text of the directive that starts here, just past its `#`, with
-    /// each comment and line splice read as one space (see
+    /// each comment read as one space and each line splice as nothing (see
     /// [`scan_directive`]).
     fn read_directive(&mut self) -> Result<String, FrontendError> {
         let scanned = scan_directive(self.src, self.pos);
@@ -486,13 +484,14 @@ impl<'src> Lexer<'src> {
     }
 }
 
-/// A preprocessing directive as C reads it: comments are removed before
-/// directives are processed (translation phase 3 comes before phase 4).
+/// A preprocessing directive as C reads it: each backslash-newline is
+/// deleted (translation phase 2), then comments are removed (phase 3),
+/// before directives are processed (phase 4).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Directive {
     /// Byte ranges of the directive's code in the source, in order. Between
-    /// two of them lies a comment or a line splice, each of which reads as
-    /// one space.
+    /// two of them lies a comment, which reads as one space, or a line
+    /// splice, which reads as nothing.
     pub code: Vec<Range<usize>>,
     /// Byte offset just past the directive: its closing newline, or the end
     /// of the source.
@@ -501,19 +500,39 @@ pub struct Directive {
 
 impl Directive {
     /// The directive's code as one string, a space in place of each comment
-    /// and line splice. `source` is the text it was scanned from.
+    /// and nothing in place of each line splice. `source` is the text it
+    /// was scanned from.
     pub fn text(&self, source: &str) -> String {
-        let code: Vec<&str> = self.code.iter().map(|r| &source[r.clone()]).collect();
-        code.join(" ")
+        let mut text = String::new();
+        let mut after = None;
+        for range in &self.code {
+            if after.is_some_and(|end| &source[end..range.start] != "\\\n") {
+                text.push(' ');
+            }
+            text.push_str(&source[range.clone()]);
+            after = Some(range.end);
+        }
+        text
     }
+}
+
+/// Byte offset of the newline that ends the `//` comment starting at byte
+/// `start` of `source`, or the source's length when no newline does. C
+/// deletes each backslash-newline before it removes comments, so the comment
+/// runs to the first newline that no backslash splices.
+pub fn line_comment_end(source: &str, start: usize) -> usize {
+    let bytes = source.as_bytes();
+    (start + 2..bytes.len())
+        .find(|&j| bytes[j] == b'\n' && bytes[j - 1] != b'\\')
+        .unwrap_or(bytes.len())
 }
 
 /// Scans the directive whose text starts at byte `start` of `source`, just
 /// past its `#`. The directive runs to the end of its line, and a
-/// backslash-newline continues it. A `//` comment ends it; a `/* … */`
-/// comment is one space, also when it closes on a later line, where the
-/// directive goes on. A `//` or `/*` inside a string or character literal
-/// is text.
+/// backslash-newline continues it, also inside a comment or a literal. A
+/// `//` comment ends it; a `/* … */` comment is one space, also when it
+/// closes on a later line, where the directive goes on. A `//` or `/*`
+/// inside a string or character literal is text.
 ///
 /// Errors with the byte offset of a block comment that never closes.
 pub fn scan_directive(source: &str, start: usize) -> Result<Directive, usize> {
@@ -540,11 +559,8 @@ pub fn scan_directive(source: &str, start: usize) -> Result<Directive, usize> {
             }
             (None, b'/', Some(b'/')) => {
                 code.push(from..i);
-                // The comment, and with it the directive, ends at the first
-                // newline that no backslash splices.
-                let end = (i + 2..bytes.len())
-                    .find(|&j| bytes[j] == b'\n' && bytes[j - 1] != b'\\')
-                    .unwrap_or(bytes.len());
+                // The comment ends the directive.
+                let end = line_comment_end(source, i);
                 return Ok(Directive { code, end });
             }
             (None, b'/', Some(b'*')) => {
@@ -659,6 +675,21 @@ mod tests {
             }
             other => panic!("expected pragma, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_line_splice_is_deleted_before_comments_and_directives() {
+        // In a directive, a splice reads as nothing: `N` is `10`.
+        assert_eq!(kinds("#define N 1\\\n0\nint a = N;"), kinds("int a = 10;"));
+        assert_eq!(
+            kinds("#pragma omp parallel for \\\nnum_threads(4)\n")[0],
+            TokenKind::OmpPragma("parallel for num_threads(4)".into())
+        );
+        // A `//` comment runs on past a spliced newline.
+        assert_eq!(
+            kinds("int x = 1; // note \\\nint y = 2;"),
+            kinds("int x = 1;")
+        );
     }
 
     #[test]

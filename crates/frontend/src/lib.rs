@@ -26,7 +26,6 @@ pub mod lexer;
 pub mod limits;
 pub mod omp;
 pub mod parser;
-pub mod printer;
 pub mod symbols;
 pub mod testing;
 pub mod token;

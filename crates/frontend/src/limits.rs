@@ -24,8 +24,8 @@ pub struct ParseOptions {
     pub max_tokens: usize,
     /// Maximum combined statement/expression nesting depth. This bounds the
     /// parser's recursion — and, transitively, the recursion of every
-    /// downstream consumer that walks the AST (printer, analyses, graph
-    /// construction).
+    /// downstream consumer that walks the AST (analyses, symbol resolution,
+    /// graph construction).
     pub max_nesting_depth: usize,
     /// Maximum number of AST arena nodes.
     pub max_ast_nodes: usize,

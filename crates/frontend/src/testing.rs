@@ -2,9 +2,9 @@
 //!
 //! This module is the input side of the frontend's untrusted-input test
 //! story: [`Generator`] produces programs that are valid by construction
-//! (so round-trip and differential properties can be asserted), and
-//! [`mutate`] corrupts them — byte flips, truncation, token splicing,
-//! OpenMP directive scrambling, deep-nesting bombs — so the parser's
+//! (so formatting-independence and differential properties can be
+//! asserted), and [`mutate`] corrupts them — byte flips, truncation, token
+//! splicing, OpenMP directive scrambling, deep-nesting bombs — so the parser's
 //! "typed error, never a panic" contract can be exercised over the whole
 //! input space. Everything is driven by a deterministic [`Rng`], so a fuzz
 //! failure reproduces from its reported seed alone.
@@ -92,8 +92,9 @@ impl Default for GenConfig {
 /// The output uses exactly the constructs the parser supports (the paper's
 /// benchmark subset): functions with scalar/pointer parameters, `for` /
 /// `while` / `if` statements, OpenMP pragmas attached to loops, and the
-/// usual expression grammar. Avoids string/char literals so the printer
-/// round-trip property can compare ASTs structurally.
+/// usual expression grammar. Avoids string/char literals, which
+/// [`reformat`] would re-space, so every program's reformat twin has the
+/// same tokens and the fuzz harness can compare their ASTs node for node.
 pub struct Generator {
     rng: Rng,
     config: GenConfig,

@@ -4,8 +4,9 @@
 //! Three properties are exercised, each over `PARAGRAPH_FUZZ_ITERS`
 //! iterations (default 300 for local runs; CI's fuzz-smoke step runs 10k):
 //!
-//! 1. **Round trip** — every generated (valid-by-construction) program
-//!    survives `parse → printer::print → parse` with an equivalent AST.
+//! 1. **Formatting independence** — every generated (valid-by-construction)
+//!    program parses, and so does its `reformat` twin (same tokens, other
+//!    whitespace and comments), to the same AST.
 //! 2. **No panic** — every mutated program either parses or returns a typed
 //!    [`FrontendError`]; the parser never panics, whatever the bytes.
 //! 3. **Limits** — under a deliberately tight [`ParseOptions`] budget every
@@ -16,9 +17,9 @@
 //! reproduces with `PARAGRAPH_FUZZ_SEED=<seed>`-style pinning in a local
 //! regression (see `regressions.rs` and `tests/corpus/`).
 
-use pg_frontend::testing::{generate_program, mutate, nesting_bomb, Rng};
+use pg_frontend::testing::{generate_program, mutate, nesting_bomb, reformat, Rng};
 use pg_frontend::{
-    parse, parse_with_options, printer, Ast, AstKind, FrontendErrorKind, NodeId, ParseOptions,
+    parse, parse_with_options, Ast, AstKind, FrontendErrorKind, NodeId, ParseOptions,
 };
 
 fn fuzz_iters() -> u64 {
@@ -37,23 +38,19 @@ type NodeSignature = (
     Option<u64>,
 );
 
-/// Preorder structural signature, skipping the transparent wrapper nodes
-/// (`ParenExpr`, `ImplicitCastExpr`) that the printer legitimately adds or
-/// drops when it re-parenthesises for precedence.
+/// Preorder structural signature of every node.
 fn signature(ast: &Ast) -> Vec<NodeSignature> {
     let mut out = Vec::new();
     let mut stack: Vec<NodeId> = vec![ast.root()];
     while let Some(id) = stack.pop() {
         let node = ast.node(id);
-        if !matches!(node.kind, AstKind::ParenExpr | AstKind::ImplicitCastExpr) {
-            out.push((
-                node.kind,
-                node.data.name.clone(),
-                node.data.opcode.clone(),
-                node.data.int_value,
-                node.data.float_value.map(f64::to_bits),
-            ));
-        }
+        out.push((
+            node.kind,
+            node.data.name.clone(),
+            node.data.opcode.clone(),
+            node.data.int_value,
+            node.data.float_value.map(f64::to_bits),
+        ));
         // Push children reversed so the walk is preorder left-to-right.
         for &c in node.children.iter().rev() {
             stack.push(c);
@@ -63,7 +60,7 @@ fn signature(ast: &Ast) -> Vec<NodeSignature> {
 }
 
 #[test]
-fn fuzz_generated_programs_round_trip_through_printer() {
+fn fuzz_generated_programs_parse_like_their_reformat_twins() {
     let iters = fuzz_iters();
     for seed in 0..iters {
         let src = generate_program(seed);
@@ -71,17 +68,17 @@ fn fuzz_generated_programs_round_trip_through_printer() {
             Ok(a) => a,
             Err(e) => panic!("seed {seed}: generated program failed to parse: {e}\n---\n{src}"),
         };
-        let printed = printer::print(&ast1);
-        let ast2 = match parse(&printed) {
+        let twin = reformat(&src, &mut Rng::new(seed.wrapping_mul(31)));
+        let ast2 = match parse(&twin) {
             Ok(a) => a,
             Err(e) => panic!(
-                "seed {seed}: printed program failed to re-parse: {e}\n--- original\n{src}\n--- printed\n{printed}"
+                "seed {seed}: reformat twin failed to parse: {e}\n--- original\n{src}\n--- twin\n{twin}"
             ),
         };
         assert_eq!(
             signature(&ast1),
             signature(&ast2),
-            "seed {seed}: AST changed across parse -> print -> parse\n--- original\n{src}\n--- printed\n{printed}"
+            "seed {seed}: AST changed under reformatting\n--- original\n{src}\n--- twin\n{twin}"
         );
     }
 }

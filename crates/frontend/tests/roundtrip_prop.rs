@@ -1,13 +1,13 @@
-//! Property tests over the structured program generator: printer round-trip
-//! and the formatting-independence of downstream analysis inputs.
+//! Property test over the structured program generator: the
+//! formatting-independence of downstream analysis inputs.
 //!
-//! These complement `fuzz_smoke.rs`: the fuzz harness drives volume and
-//! mutation coverage; the properties here are the precise invariants,
-//! expressed through proptest strategies over generator seeds and size
-//! knobs.
+//! This complements `fuzz_smoke.rs`, whose harness compares each generated
+//! program with its `reformat` twin node for node over the first seeds;
+//! here proptest draws program and style seeds from wide ranges and
+//! compares the counts of the node kinds the analyses read.
 
-use pg_frontend::testing::{reformat, GenConfig, Generator, Rng as FuzzRng};
-use pg_frontend::{parse, printer, AstKind};
+use pg_frontend::testing::{reformat, Generator, Rng as FuzzRng};
+use pg_frontend::{parse, AstKind};
 use proptest::prelude::*;
 
 const STRUCTURAL_KINDS: [AstKind; 10] = [
@@ -25,32 +25,6 @@ const STRUCTURAL_KINDS: [AstKind; 10] = [
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn parse_print_reparse_is_structure_preserving(
-        seed in 0u64..1_000_000u64,
-        funcs in 1usize..4usize,
-        depth in 2usize..5usize,
-    ) {
-        let config = GenConfig {
-            max_functions: funcs,
-            max_block_depth: depth,
-            ..GenConfig::default()
-        };
-        let src = Generator::with_config(seed, config).program();
-        let ast1 = parse(&src).expect("generated program parses");
-        let printed = printer::print(&ast1);
-        let ast2 = parse(&printed).expect("printed program re-parses");
-        for kind in STRUCTURAL_KINDS {
-            prop_assert_eq!(
-                ast1.find_all(kind).len(),
-                ast2.find_all(kind).len(),
-                "count of {:?} changed across round trip (seed {})",
-                kind,
-                seed
-            );
-        }
-    }
 
     #[test]
     fn reformatting_never_changes_the_parsed_structure(

@@ -150,19 +150,6 @@ impl Obs {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Change the 1-in-N sampling rate at runtime.
-    pub fn set_sample_every(&self, n: u64) {
-        self.sample_every.store(n.max(1), Ordering::Relaxed);
-    }
-
-    /// Change the slow-request keep threshold at runtime.
-    pub fn set_slow_threshold(&self, threshold: Duration) {
-        self.slow_us.store(
-            threshold.as_micros().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
     /// Start a request trace. Returns an inactive handle when tracing is
     /// disabled. The sampling draw happens here (so a sampled-out fast
     /// request still collects spans only until commit discards them —
@@ -270,11 +257,6 @@ impl Obs {
     /// The trace ring buffer.
     pub fn recorder(&self) -> &TraceRecorder {
         &self.recorder
-    }
-
-    /// Drop all recorded traces (tests).
-    pub fn clear_traces(&self) {
-        self.recorder.clear();
     }
 }
 

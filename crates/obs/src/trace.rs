@@ -238,11 +238,6 @@ impl TraceRecorder {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drop every recorded trace (tests).
-    pub fn clear(&self) {
-        self.ring.lock().expect("trace ring lock poisoned").clear();
-    }
 }
 
 #[cfg(test)]

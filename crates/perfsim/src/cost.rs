@@ -3,7 +3,7 @@
 
 use pg_advisor::KernelInstance;
 use pg_frontend::analysis::{self, ConstEnv, WorkEstimate};
-use pg_frontend::{parse, Ast, AstKind, FrontendError};
+use pg_frontend::{parse, Ast, FrontendError};
 use serde::{Deserialize, Serialize};
 
 /// Everything the execution model needs to know about one kernel instance.
@@ -49,7 +49,7 @@ pub fn analyze_ast(ast: &Ast, bytes_to_device: f64, bytes_from_device: f64) -> K
 
     // The distributed iteration space: trip count of the loop the OpenMP
     // directive is attached to, times the next level when collapsed.
-    let parallel_iterations = distributed_iterations(ast, &env);
+    let parallel_iterations = analysis::distributed_iterations(ast, &env);
 
     // Each load/store touches one 4-byte float (the kernels use float data).
     let bytes_accessed = (work.loads + work.stores) * 4.0;
@@ -69,46 +69,6 @@ pub fn analyze_ast(ast: &Ast, bytes_to_device: f64, bytes_from_device: f64) -> K
         arithmetic_intensity,
         loop_depth: work.max_loop_depth,
     }
-}
-
-/// Trip count of the parallelised loop space.
-fn distributed_iterations(ast: &Ast, env: &ConstEnv) -> f64 {
-    // Find the OpenMP directive (if any) and its associated loop.
-    let directive = ast
-        .preorder()
-        .into_iter()
-        .find(|&id| ast.kind(id).is_omp_directive());
-    let (loop_node, collapse) = match directive {
-        Some(d) => {
-            let collapse = ast
-                .node(d)
-                .data
-                .omp
-                .as_ref()
-                .map(|o| o.collapse_depth())
-                .unwrap_or(1);
-            let associated = ast
-                .preorder_from(d)
-                .into_iter()
-                .find(|&id| ast.kind(id) == AstKind::ForStmt);
-            (associated, collapse)
-        }
-        None => (ast.find_first(AstKind::ForStmt), 1),
-    };
-    let Some(outer) = loop_node else {
-        return 1.0;
-    };
-    let nest = analysis::loop_nest(ast, outer, env);
-    let mut iterations = 1.0;
-    for level in nest.iter().take(collapse as usize) {
-        let trip = level
-            .info
-            .as_ref()
-            .and_then(|i| i.trip_count)
-            .unwrap_or(analysis::DEFAULT_UNKNOWN_TRIP_COUNT);
-        iterations *= trip as f64;
-    }
-    iterations.max(1.0)
 }
 
 #[cfg(test)]

@@ -254,11 +254,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix and return its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element access.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {

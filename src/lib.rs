@@ -41,7 +41,7 @@ pub use pg_frontend as frontend;
 /// Benchmark kernel catalogue (Table I).
 pub use pg_kernels as kernels;
 
-/// OpenMP Advisor substitute: variant generation and pragma rewriting.
+/// OpenMP Advisor substitute: variant generation and its legality gate.
 pub use pg_advisor as advisor;
 
 /// Static loop-dependence and data-race analysis gating proposed variants.
