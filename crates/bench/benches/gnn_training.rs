@@ -10,8 +10,8 @@
 //! * **per-sample forward+backward** — `loss_and_gradients` per sample vs
 //!   one batched pass over the same samples, normalised per sample;
 //! * **engine GNN-backend sweep advise** — a launch-sweep `advise` through a
-//!   per-instance backend (the default rayon `predict_batch`) vs the batched
-//!   `GnnBackend::predict_batch` override;
+//!   per-instance backend (one legacy forward pass per candidate, one after
+//!   another) vs the batched `GnnBackend::predict_batch`;
 //! * **graph-size sweep** — one batched forward+backward of the sparse
 //!   message-passing path at 1×/4×/16× disjoint-union scale, so its scaling
 //!   with graph size is measured rather than asserted.
@@ -24,8 +24,9 @@
 
 use pg_dataset::{collect_platform, DatasetScale, PipelineConfig};
 use pg_engine::{AdviseRequest, Engine, EngineError, PredictionContext, RuntimePredictor};
+use pg_gnn::reference::{self, GraphSample};
 use pg_gnn::{
-    prepare, reference, train_prepared, BatchedGraph, GnnBackend, ModelConfig, ParaGraphModel,
+    prepare, train_prepared, BatchedGraph, GnnBackend, ModelConfig, ParaGraphModel,
     PreparedDataset, PreparedGraph, TrainConfig, TrainedModel,
 };
 use pg_perfsim::Platform;
@@ -48,7 +49,9 @@ fn train_config() -> TrainConfig {
     }
 }
 
-fn prepared_dataset() -> PreparedDataset {
+/// The prepared Fast-scale training set and the reference path's samples
+/// of it.
+fn prepared_dataset() -> (PreparedDataset, Vec<GraphSample>) {
     let ds = collect_platform(
         PLATFORM,
         &PipelineConfig {
@@ -57,12 +60,15 @@ fn prepared_dataset() -> PreparedDataset {
             noise_sigma: 0.02,
         },
     );
-    prepare(&ds, train_config().representation, train_config().seed)
+    let representation = train_config().representation;
+    let prepared = prepare(&ds, representation, train_config().seed);
+    let samples = reference::samples(&ds, &prepared, representation);
+    (prepared, samples)
 }
 
 /// The pre-batching engine path as a backend: per-instance prediction
-/// through the legacy (fresh-tape, cloned-parameter) forward pass, batched
-/// only by the trait's default rayon fan-out. This is the sweep baseline.
+/// through the legacy (fresh-tape, cloned-parameter) forward pass, one
+/// candidate after another. This is the sweep baseline.
 struct PerInstanceLegacyGnn(TrainedModel);
 
 impl RuntimePredictor for PerInstanceLegacyGnn {
@@ -70,18 +76,23 @@ impl RuntimePredictor for PerInstanceLegacyGnn {
         "gnn-per-instance-legacy"
     }
 
-    fn predict(
+    fn predict_batch(
         &self,
         ctx: &PredictionContext<'_>,
-        instance: &pg_advisor::KernelInstance,
-    ) -> Result<f64, EngineError> {
+        instances: &[pg_advisor::KernelInstance],
+    ) -> Vec<Result<f64, EngineError>> {
         let bundle = &self.0;
-        let graph = ctx.relational_graph(instance, bundle.representation)?;
-        let side = bundle
-            .side_scaler
-            .transform(&[instance.launch.teams as f32, instance.launch.threads as f32]);
-        let encoded = reference::predict_graph(&bundle.model, &graph, [side[0], side[1]]);
-        Ok(f64::from(bundle.target_transform.decode(encoded).max(0.0)))
+        instances
+            .iter()
+            .map(|instance| {
+                let graph = ctx.relational_graph(instance, bundle.representation)?;
+                let side = bundle
+                    .side_scaler
+                    .transform(&[instance.launch.teams as f32, instance.launch.threads as f32]);
+                let encoded = reference::predict_graph(&bundle.model, &graph, [side[0], side[1]]);
+                Ok(f64::from(bundle.target_transform.decode(encoded).max(0.0)))
+            })
+            .collect()
     }
 }
 
@@ -209,13 +220,13 @@ fn trained_bundle() -> TrainedModel {
 /// to `BENCH_gnn.json` so the speedups are machine-readable across changes.
 fn main() {
     let reps = if smoke() { 1 } else { 5 };
-    let prepared = prepared_dataset();
+    let (prepared, samples) = prepared_dataset();
     let config = train_config();
 
     let (epoch_per_sample, epoch_batched) = interleaved_medians(
         reps,
         || {
-            reference::train_prepared(&prepared, &config).unwrap();
+            reference::train_prepared(&samples, &prepared, &config).unwrap();
         },
         || {
             train_prepared(&prepared, &config).unwrap();
@@ -232,19 +243,16 @@ fn main() {
     let fb_reps = if smoke() { 3 } else { 20 };
     let items: Vec<(&PreparedGraph, [f32; 2])> = indices
         .iter()
-        .map(|&i| (&prepared.prepared[i], prepared.samples[i].side))
+        .map(|&i| (&prepared.graphs[i], prepared.sides[i]))
         .collect();
-    let targets: Vec<f32> = indices
-        .iter()
-        .map(|&i| prepared.samples[i].target)
-        .collect();
+    let targets: Vec<f32> = indices.iter().map(|&i| prepared.targets[i]).collect();
     let batch = BatchedGraph::build(&items);
     let mut tape = Tape::new();
     let (fb_per_sample, fb_batched) = interleaved_medians(
         fb_reps,
         || {
             for &i in &indices {
-                std::hint::black_box(reference::loss_and_gradients(&model, &prepared.samples[i]));
+                std::hint::black_box(reference::loss_and_gradients(&model, &samples[i]));
             }
         },
         || {
@@ -315,7 +323,7 @@ fn main() {
         schema: 3,
         platform: PLATFORM.name().to_string(),
         dataset_scale: "Fast".to_string(),
-        samples: prepared.samples.len(),
+        samples: samples.len(),
         train_samples: prepared.train_idx.len(),
         batch_size: config.batch_size,
         training_epoch: Comparison::of(epoch_per_sample, epoch_batched),

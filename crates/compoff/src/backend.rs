@@ -7,6 +7,7 @@
 use crate::CompoffModel;
 use pg_advisor::KernelInstance;
 use pg_engine::{EngineError, PredictionContext, RuntimePredictor};
+use rayon::prelude::*;
 
 /// The COMPOFF MLP baseline as a backend. GPU-only, as in the paper.
 pub struct CompoffBackend {
@@ -30,22 +31,29 @@ impl RuntimePredictor for CompoffBackend {
         "compoff"
     }
 
-    fn predict(
+    /// Candidates fanned out across the pool, each from its cached AST.
+    fn predict_batch(
         &self,
         ctx: &PredictionContext<'_>,
-        instance: &KernelInstance,
-    ) -> Result<f64, EngineError> {
+        instances: &[KernelInstance],
+    ) -> Vec<Result<f64, EngineError>> {
         if !ctx.platform().is_gpu() {
-            return Err(EngineError::BackendUnavailable(format!(
+            let err = EngineError::BackendUnavailable(format!(
                 "COMPOFF models GPU offloading only (paper Section V-D); engine serves {}",
                 ctx.platform().name()
-            )));
+            ));
+            return instances.iter().map(|_| Err(err.clone())).collect();
         }
-        let ast = ctx.ast(&instance.source)?;
-        Ok(f64::from(self.model.predict_ast(
-            &ast,
-            instance.launch.teams,
-            instance.launch.threads,
-        )))
+        instances
+            .par_iter()
+            .map(|instance| {
+                let ast = ctx.ast(&instance.source)?;
+                Ok(f64::from(self.model.predict_ast(
+                    &ast,
+                    instance.launch.teams,
+                    instance.launch.threads,
+                )))
+            })
+            .collect()
     }
 }

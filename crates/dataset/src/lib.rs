@@ -28,9 +28,9 @@ pub mod store;
 
 pub use datapoint::DataPoint;
 pub use pipeline::{
-    budget_for, collect_platform, collect_platform_unsharded, generate_all, generate_platform,
-    instances_for, merge_shard_points, DatasetScale, GenerationOutcome, GenerationSummary,
-    PipelineConfig, PlatformDataset,
+    collect_platform, collect_platform_unsharded, generate_all, generate_platform, instances_for,
+    merge_shard_points, DatasetScale, GenerationOutcome, GenerationSummary, PipelineConfig,
+    PlatformDataset,
 };
 pub use shard::{Shard, ShardKey, ShardLabel, ShardPlan};
 pub use stats::PlatformStats;

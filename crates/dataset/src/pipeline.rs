@@ -16,7 +16,7 @@ use crate::datapoint::DataPoint;
 use crate::shard::{Shard, ShardPlan};
 use crate::stats::PlatformStats;
 use crate::store::ShardStore;
-use pg_advisor::{generate_instances, GeneratorConfig, KernelInstance, ParallelismBudget};
+use pg_advisor::{generate_instances, GeneratorConfig, KernelInstance};
 use pg_engine::{CacheCounters, Engine, SimulatorBackend};
 use pg_kernels::all_kernels;
 use pg_perfsim::{measure, NoiseModel, Platform};
@@ -176,21 +176,11 @@ impl PlatformDataset {
     }
 }
 
-/// The launch-configuration budget matching a platform's hardware.
-pub fn budget_for(platform: Platform) -> ParallelismBudget {
-    match platform {
-        Platform::SummitPower9 => ParallelismBudget::for_cpu_cores(22),
-        Platform::CoronaEpyc7401 => ParallelismBudget::for_cpu_cores(24),
-        Platform::SummitV100 => ParallelismBudget::for_gpu(80),
-        Platform::CoronaMi50 => ParallelismBudget::for_gpu(60),
-    }
-}
-
 /// Generate the kernel instances that run on a given platform: CPU platforms
 /// execute the `cpu*` variants, GPU platforms the `gpu*` variants.
 pub fn instances_for(platform: Platform, scale: DatasetScale) -> Vec<KernelInstance> {
     let kernels = all_kernels();
-    let budget = budget_for(platform);
+    let budget = platform.default_budget();
     let config = GeneratorConfig {
         include_cpu: !platform.is_gpu(),
         include_gpu: platform.is_gpu(),

@@ -12,9 +12,10 @@
 //!
 //! Backends receive a [`PredictionContext`] giving them the engine's
 //! platform and its memoized frontend, so every backend benefits from the
-//! AST/graph caches. `predict_batch` fans candidates out across threads;
-//! backends can override it when they can amortize work across a batch, as
-//! the simulator does by parsing each launch-free body once.
+//! AST/graph caches. A backend prices a whole batch in one `predict_batch`
+//! call and fans it out itself: the simulator across launch-free bodies,
+//! the GNN through disjoint-union forward passes, COMPOFF across
+//! candidates.
 
 use crate::cache::{FrontendCache, RequestCounters};
 use crate::error::EngineError;
@@ -72,31 +73,18 @@ pub trait RuntimePredictor: Send + Sync {
     /// Short name for provenance in reports (e.g. `"simulator"`).
     fn name(&self) -> &str;
 
-    /// Predict the runtime (ms) of one kernel instance.
-    fn predict(
-        &self,
-        ctx: &PredictionContext<'_>,
-        instance: &KernelInstance,
-    ) -> Result<f64, EngineError>;
-
-    /// Predict a batch of instances, preserving order. The default fans the
-    /// batch out across threads; override to amortize per-batch work.
-    /// `pg_gnn::GnnBackend` does exactly that: it joins the whole candidate
-    /// set into disjoint-union mini-batches and serves them with one tape
-    /// forward pass per chunk, which is why `advise` hands backends the full
-    /// candidate list instead of looping over `predict`. Overrides must
-    /// return one result per instance, in instance order, and report
-    /// per-instance failures in place rather than failing the whole batch.
+    /// Predict the runtimes (ms) of a batch of instances. The engine hands
+    /// a backend whole candidate sets, so it can amortize per-batch work:
+    /// `pg_gnn::GnnBackend` joins the set into disjoint-union mini-batches
+    /// and serves them with one tape forward pass per chunk. Implementations
+    /// must return one result per instance, in instance order, and report
+    /// per-instance failures in place rather than failing the whole batch;
+    /// an instance's result must not depend on what else is in the batch.
     fn predict_batch(
         &self,
         ctx: &PredictionContext<'_>,
         instances: &[KernelInstance],
-    ) -> Vec<Result<f64, EngineError>> {
-        instances
-            .par_iter()
-            .map(|instance| self.predict(ctx, instance))
-            .collect()
-    }
+    ) -> Vec<Result<f64, EngineError>>;
 }
 
 // ---------------------------------------------------------------------------
@@ -139,8 +127,8 @@ impl SimulatorBackend {
     }
 
     /// Label `instance` from its body's cost: the execution model at the
-    /// instance's own launch, then the instance's own noise draw. `predict`
-    /// and `predict_batch` both end here.
+    /// instance's own launch, then the instance's own noise draw. Every
+    /// result of `predict_batch` ends here.
     fn label(&self, cost: &KernelCost, instance: &KernelInstance, platform: Platform) -> f64 {
         let ideal_ms = pg_perfsim::predict(cost, instance.launch, platform).total_ms();
         if self.noise.sigma <= 0.0 {
@@ -175,29 +163,20 @@ impl RuntimePredictor for SimulatorBackend {
         "simulator"
     }
 
-    fn predict(
-        &self,
-        ctx: &PredictionContext<'_>,
-        instance: &KernelInstance,
-    ) -> Result<f64, EngineError> {
-        // Mirrors pg_perfsim::measure step for step, with the parse memoized.
-        let cost = Self::cost(ctx, instance)?;
-        Ok(self.label(&cost, instance, ctx.platform()))
-    }
-
     /// Parse each launch-free body once per batch.
     ///
-    /// The cost analysis never reads the launch clause, so the instances of
-    /// one (kernel, variant, sizes) body across a launch sweep share one
-    /// cost. Instances are grouped by [`KernelInstance::body_key`] — content,
-    /// never a name — and by whether they fit the byte cap. One
+    /// Mirrors [`pg_perfsim::measure`] step for step, with the parse
+    /// memoized. The cost analysis never reads the launch clause, so the
+    /// instances of one (kernel, variant, sizes) body across a launch sweep
+    /// share one cost. Instances are grouped by [`KernelInstance::body_key`]
+    /// — content, never a name — and by whether they fit the byte cap. One
     /// representative per group, the first in batch order, is parsed and
     /// analysed through the AST memo, groups fanned out over the pool; every
     /// instance is then labelled at its own launch with its own noise draw.
     /// A group that fails to parse hands its error to members spelled like
-    /// the representative; any other member is predicted on its own, so
-    /// every result equals per-instance [`predict`](RuntimePredictor::predict)
-    /// bit for bit. Scratch memory is O(groups).
+    /// the representative; any other member is parsed and labelled on its
+    /// own, so every result equals the same instance's batch of one bit for
+    /// bit. Scratch memory is O(groups).
     fn predict_batch(
         &self,
         ctx: &PredictionContext<'_>,
@@ -227,7 +206,8 @@ impl RuntimePredictor for SimulatorBackend {
                     Err(error) if instance.source == representatives[group].source => {
                         Err(error.clone())
                     }
-                    Err(_) => self.predict(ctx, instance),
+                    Err(_) => Self::cost(ctx, instance)
+                        .map(|cost| self.label(&cost, instance, ctx.platform())),
                 }
             })
             .collect()
@@ -258,10 +238,10 @@ mod tests {
             .instances()
     }
 
-    /// Asserts that `predict_batch` equals one `predict` per instance, bit
-    /// for bit and error for error, each side on a fresh cache under
+    /// Asserts that one batch equals a batch of one per instance, bit for
+    /// bit and error for error, each side on a fresh cache under
     /// `options`. Returns the batch's results and its cache activity.
-    fn batch_matching_per_instance(
+    fn batch_matching_singletons(
         backend: &SimulatorBackend,
         platform: Platform,
         options: ParseOptions,
@@ -282,13 +262,16 @@ mod tests {
         let single_cache = FrontendCache::with_parse_options(64, options);
         let single_counters = RequestCounters::default();
         let ctx = PredictionContext::new(&single_cache, platform, &single_counters);
-        let single: Vec<_> = instances.iter().map(|i| backend.predict(&ctx, i)).collect();
-        assert_eq!(bits(&batch), bits(&single));
+        let singletons: Vec<_> = instances
+            .iter()
+            .flat_map(|i| backend.predict_batch(&ctx, std::slice::from_ref(i)))
+            .collect();
+        assert_eq!(bits(&batch), bits(&singletons));
         (batch, counters.snapshot())
     }
 
     #[test]
-    fn batch_equals_per_instance_predict_on_every_catalogue_candidate_set() {
+    fn batch_equals_singleton_batches_on_every_catalogue_candidate_set() {
         let noisy = SimulatorBackend::new(NoiseModel {
             sigma: 0.04,
             seed: 42,
@@ -299,7 +282,7 @@ mod tests {
                 let bodies: HashSet<_> = instances.iter().map(KernelInstance::body_key).collect();
                 assert!(bodies.len() < instances.len());
                 for backend in [&SimulatorBackend::noise_free(), &noisy] {
-                    let (results, cache) = batch_matching_per_instance(
+                    let (results, cache) = batch_matching_singletons(
                         backend,
                         platform,
                         ParseOptions::default(),
@@ -333,7 +316,7 @@ mod tests {
         let n = batch.len();
         batch.extend(candidates(platform, mutant));
         assert_eq!(batch.len(), 2 * n);
-        let (results, _) = batch_matching_per_instance(
+        let (results, _) = batch_matching_singletons(
             &SimulatorBackend::noise_free(),
             platform,
             ParseOptions::default(),
@@ -353,7 +336,7 @@ mod tests {
         let mut bad = batch[0].clone();
         bad.source = "this is not C".to_string();
         batch.insert(1, bad);
-        let (results, _) = batch_matching_per_instance(
+        let (results, _) = batch_matching_singletons(
             &SimulatorBackend::noise_free(),
             platform,
             ParseOptions::default(),
@@ -380,7 +363,7 @@ mod tests {
         // Shortest first, then longest first: whichever member comes first,
         // each is admitted or refused on its own length.
         for _ in 0..2 {
-            let (results, _) = batch_matching_per_instance(
+            let (results, _) = batch_matching_singletons(
                 &SimulatorBackend::noise_free(),
                 platform,
                 options,

@@ -17,6 +17,7 @@
 use paragraph_core::{build, to_relational, BuilderConfig, RelationalGraph, Representation};
 use pg_advisor::KernelInstance;
 use pg_frontend::{Ast, ParseOptions};
+use serde::{Deserialize, Serialize};
 use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -118,8 +119,9 @@ struct GraphKey {
     threads: u64,
 }
 
-/// Cumulative hit/miss counters of a [`FrontendCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Hit/miss counters of a [`FrontendCache`]: cumulative, or a delta scoped
+/// to one request or batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CacheCounters {
     /// Lookups served from the cache.
     pub hits: u64,

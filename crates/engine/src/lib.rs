@@ -17,7 +17,7 @@
 //! ```text
 //! AdviseRequest ──► resolve kernel ──► CandidateSpace (gated variants × launch axes)
 //!        │                                      │ instances
-//!        │                         predict_batch (rayon fan-out)
+//!        │                  predict_batch (the backend fans its batch out)
 //!        │                                      │
 //!        │               RuntimePredictor backend (simulator | gnn | compoff)
 //!        │                                      │
@@ -54,9 +54,7 @@ pub use error::EngineError;
 // rejections and configure parse budgets without a direct pg-frontend
 // dependency.
 pub use pg_frontend::{FrontendError, FrontendErrorKind, ParseOptions};
-pub use report::{
-    AdviseReport, CacheActivity, PredictionFailure, StageBreakdown, Timing, VariantPrediction,
-};
+pub use report::{AdviseReport, PredictionFailure, StageBreakdown, Timing, VariantPrediction};
 pub use request::{AdviseRequest, KernelSpec, LaunchBudget};
 pub use space::CandidateSpace;
 
@@ -79,7 +77,6 @@ pub struct Engine {
     platform: Platform,
     backend: Box<dyn RuntimePredictor>,
     cache: FrontendCache,
-    analysis_gate: bool,
     /// Memoized legality analysis keyed by (kernel name, source): analysing
     /// a variant costs far more than a warm advise, so repeated requests
     /// must not re-run it. Kept separate from [`FrontendCache`] so analysis
@@ -92,7 +89,6 @@ pub struct EngineBuilder {
     platform: Platform,
     backend: Option<Box<dyn RuntimePredictor>>,
     cache_capacity: usize,
-    analysis_gate: bool,
     parse_options: pg_frontend::ParseOptions,
 }
 
@@ -116,14 +112,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Enable or disable the static legality gate (default: enabled).
-    /// Disabling reproduces the ungated engine exactly: no analysis runs,
-    /// reports carry no diagnostics, and nothing is pruned.
-    pub fn analysis_gate(mut self, enabled: bool) -> Self {
-        self.analysis_gate = enabled;
-        self
-    }
-
     /// Per-request parse budget for raw (uncatalogued) sources (default:
     /// [`pg_frontend::ParseOptions::default`]).
     pub fn parse_options(mut self, options: pg_frontend::ParseOptions) -> Self {
@@ -139,7 +127,6 @@ impl EngineBuilder {
                 .backend
                 .unwrap_or_else(|| Box::new(SimulatorBackend::noise_free())),
             cache: FrontendCache::with_parse_options(self.cache_capacity, self.parse_options),
-            analysis_gate: self.analysis_gate,
             analysis_memo: Mutex::new(LruCache::new(self.cache_capacity)),
         }
     }
@@ -152,7 +139,6 @@ impl Engine {
             platform: Platform::SummitV100,
             backend: None,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            analysis_gate: true,
             parse_options: pg_frontend::ParseOptions::default(),
         }
     }
@@ -210,7 +196,7 @@ impl Engine {
     /// The candidate space of a kernel template on this engine's platform:
     /// its applicable variants at `sizes` (`None` = the template's
     /// defaults) times the launch grid of `budget`, gated by the legality
-    /// analysis when enabled.
+    /// analysis.
     ///
     /// Catalogue requests resolve their template and come through here, so
     /// a template outside the catalogue (a modified or hand-written kernel)
@@ -312,22 +298,20 @@ impl Engine {
             // thread_limit / schedule), so one probe at the grid origin
             // gates the variant's whole launch sweep — the golden suite
             // pins this launch-invariance.
-            if self.analysis_gate {
-                let probe = origin.instance(variant, probe_launch);
-                let report = self.analysis_of(o, trace, &probe, &mut analyze_us);
-                // Probes of one kernel's variants repeat the same findings.
-                for diagnostic in &report.diagnostics {
-                    if !diagnostics.contains(diagnostic) {
-                        diagnostics.push(diagnostic.clone());
-                    }
+            let probe = origin.instance(variant, probe_launch);
+            let report = self.analysis_of(o, trace, &probe, &mut analyze_us);
+            // Probes of one kernel's variants repeat the same findings.
+            for diagnostic in &report.diagnostics {
+                if !diagnostics.contains(diagnostic) {
+                    diagnostics.push(diagnostic.clone());
                 }
-                if let (true, LegalityVerdict::Race(reason)) = (prunable, &report.verdict) {
-                    race_pruned.push(PrunedVariant {
-                        variant: variant.name().to_string(),
-                        reason: reason.clone(),
-                    });
-                    continue;
-                }
+            }
+            if let (true, LegalityVerdict::Race(reason)) = (prunable, &report.verdict) {
+                race_pruned.push(PrunedVariant {
+                    variant: variant.name().to_string(),
+                    reason: reason.clone(),
+                });
+                continue;
             }
             admitted.push(variant);
         }
@@ -402,9 +386,9 @@ impl Engine {
     /// prediction of one candidate never depends on what else is in the
     /// batch. Two accounting fields are batch-scoped, though:
     /// [`Timing::predict_ms`] is the whole batch's prediction wall time,
-    /// and the prediction-phase share of [`CacheActivity`] is accounted to
-    /// the batch and reported identically on every member report
-    /// (enumeration-phase activity stays per-request).
+    /// and the prediction-phase share of [`AdviseReport::cache`] is
+    /// accounted to the batch and reported identically on every member
+    /// report (enumeration-phase activity stays per-request).
     pub fn advise_many(
         &self,
         requests: &[AdviseRequest],
@@ -544,7 +528,7 @@ impl Engine {
                         predict_ms,
                         total_ms: entry.started.elapsed().as_secs_f64() * 1e3,
                     },
-                    cache: CacheActivity {
+                    cache: CacheCounters {
                         hits: entry.enum_cache.hits + predict_cache.hits,
                         misses: entry.enum_cache.misses + predict_cache.misses,
                     },
@@ -706,27 +690,45 @@ mod tests {
     }
 
     #[test]
-    fn clean_catalogue_rankings_are_identical_with_gate_on_and_off() {
-        let request = AdviseRequest::catalog("MM/matmul").with_launch(LaunchConfig {
+    fn clean_catalogue_rankings_equal_the_candidates_priced_directly() {
+        let launch = LaunchConfig {
             teams: 80,
             threads: 128,
-        });
+        };
         let gated = Engine::builder()
             .platform(Platform::SummitV100)
             .build()
-            .advise(&request)
+            .advise(&AdviseRequest::catalog("MM/matmul").with_launch(launch))
             .unwrap();
-        let ungated = Engine::builder()
-            .platform(Platform::SummitV100)
-            .analysis_gate(false)
-            .build()
-            .advise(&request)
-            .unwrap();
-        // Nothing in the shipped catalogue is pruned, so the gate must not
-        // perturb rankings at all.
-        assert_eq!(gated.rankings, ungated.rankings);
         assert!(gated.race_pruned.is_empty());
-        assert!(ungated.diagnostics.is_empty());
+        // Nothing in the shipped catalogue is pruned, so the gate must not
+        // perturb rankings at all: they are every applicable GPU variant at
+        // the launch, priced directly and sorted fastest-first.
+        let kernel = pg_kernels::find_kernel("MM/matmul").unwrap();
+        let sizes = kernel.default_sizes();
+        let variants: Vec<Variant> = Variant::applicable_variants(&kernel)
+            .into_iter()
+            .filter(|v| v.is_gpu())
+            .collect();
+        let instances: Vec<KernelInstance> = variants
+            .iter()
+            .map(|&variant| pg_advisor::instantiate(&kernel, variant, &sizes, launch))
+            .collect();
+        let priced = Engine::builder()
+            .platform(Platform::SummitV100)
+            .build()
+            .predict_instances(&instances);
+        let mut direct: Vec<VariantPrediction> = variants
+            .iter()
+            .zip(priced)
+            .map(|(&variant, predicted_ms)| VariantPrediction {
+                variant: Some(variant),
+                launch,
+                predicted_ms: predicted_ms.unwrap(),
+            })
+            .collect();
+        direct.sort_by(|a, b| a.predicted_ms.partial_cmp(&b.predicted_ms).unwrap());
+        assert_eq!(gated.rankings, direct);
     }
 
     #[test]

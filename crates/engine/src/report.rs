@@ -1,6 +1,7 @@
 //! What the engine answers: ranked variant predictions with provenance,
 //! wall-time accounting and cache activity.
 
+use crate::cache::CacheCounters;
 use pg_advisor::{LaunchConfig, PrunedVariant, Variant};
 use pg_analyze::Diagnostic;
 use pg_perfsim::Platform;
@@ -41,16 +42,6 @@ pub struct PredictionFailure {
     pub error: String,
 }
 
-/// Cache activity attributable to one request (delta of the engine's
-/// cumulative counters across the request).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub struct CacheActivity {
-    /// Frontend lookups served from the cache during this request.
-    pub hits: u64,
-    /// Frontend lookups that ran parse / graph construction.
-    pub misses: u64,
-}
-
 /// Wall-time accounting of one request, in milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct Timing {
@@ -71,7 +62,7 @@ pub struct StageBreakdown {
     /// Candidate enumeration, including the legality gate.
     pub enumerate_us: u64,
     /// Static legality analysis alone (a subset of `enumerate_us`; zero on
-    /// memoized warm probes and when the gate is disabled).
+    /// memoized warm probes).
     pub analyze_us: u64,
     /// Batched backend prediction. Batch-scoped like
     /// [`Timing::predict_ms`]: every member of a coalesced batch reports
@@ -94,10 +85,10 @@ pub struct AdviseReport {
     pub failures: Vec<PredictionFailure>,
     /// Wall-time accounting.
     pub timing: Timing,
-    /// Cache activity during this request.
-    pub cache: CacheActivity,
-    /// Unique static-analysis diagnostics across the request's candidates
-    /// (empty when the analysis gate is disabled).
+    /// Frontend-cache activity attributable to this request: its own
+    /// enumeration's lookups plus its batch's prediction-phase lookups.
+    pub cache: CacheCounters,
+    /// Unique static-analysis diagnostics across the request's candidates.
     pub diagnostics: Vec<Diagnostic>,
     /// Variants the legality gate pruned as provable data races before
     /// prediction (always empty for raw-source requests, which are
@@ -150,7 +141,7 @@ mod tests {
             ],
             failures: vec![],
             timing: Timing::default(),
-            cache: CacheActivity::default(),
+            cache: CacheCounters::default(),
             diagnostics: vec![],
             race_pruned: vec![],
             stages: None,

@@ -72,7 +72,7 @@ pub struct CandidateSpace {
     pub(crate) threads_axis: Vec<u64>,
     pub(crate) diagnostics: Vec<Diagnostic>,
     pub(crate) race_pruned: Vec<PrunedVariant>,
-    /// Wall time of the legality probes (0 when unobserved or gate off).
+    /// Wall time of the legality probes (0 when unobserved).
     pub(crate) analyze_us: u64,
 }
 

@@ -14,6 +14,7 @@
 //! tests, the ingest benchmarks — can reuse the same generator without a
 //! new dependency edge.
 
+use crate::ast::{Ast, AstKind, NodeId};
 use std::fmt::Write as _;
 
 /// Deterministic xorshift64* PRNG.
@@ -578,6 +579,39 @@ fn operator_preserving_tokens(line: &str) -> Vec<String> {
         toks.push(current);
     }
     toks
+}
+
+/// One [`signature`] entry: (kind, name, opcode, int value, float bits).
+pub type NodeSignature = (
+    AstKind,
+    Option<String>,
+    Option<String>,
+    Option<i64>,
+    Option<u64>,
+);
+
+/// Preorder structural signature of every node of `ast`: two programs with
+/// equal signatures parse to the same tree, node for node. The
+/// formatting-independence tests compare a program with its [`reformat`]
+/// twin through it.
+pub fn signature(ast: &Ast) -> Vec<NodeSignature> {
+    let mut out = Vec::new();
+    let mut stack: Vec<NodeId> = vec![ast.root()];
+    while let Some(id) = stack.pop() {
+        let node = ast.node(id);
+        out.push((
+            node.kind,
+            node.data.name.clone(),
+            node.data.opcode.clone(),
+            node.data.int_value,
+            node.data.float_value.map(f64::to_bits),
+        ));
+        // Push children reversed so the walk is preorder left-to-right.
+        for &c in node.children.iter().rev() {
+            stack.push(c);
+        }
+    }
+    out
 }
 
 /// Produce a semantically-identical twin of `source` that differs only in

@@ -17,46 +17,14 @@
 //! reproduces with `PARAGRAPH_FUZZ_SEED=<seed>`-style pinning in a local
 //! regression (see `regressions.rs` and `tests/corpus/`).
 
-use pg_frontend::testing::{generate_program, mutate, nesting_bomb, reformat, Rng};
-use pg_frontend::{
-    parse, parse_with_options, Ast, AstKind, FrontendErrorKind, NodeId, ParseOptions,
-};
+use pg_frontend::testing::{generate_program, mutate, nesting_bomb, reformat, signature, Rng};
+use pg_frontend::{parse, parse_with_options, FrontendErrorKind, ParseOptions};
 
 fn fuzz_iters() -> u64 {
     std::env::var("PARAGRAPH_FUZZ_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(300)
-}
-
-/// One signature entry: (kind, name, opcode, int value, float bits).
-type NodeSignature = (
-    AstKind,
-    Option<String>,
-    Option<String>,
-    Option<i64>,
-    Option<u64>,
-);
-
-/// Preorder structural signature of every node.
-fn signature(ast: &Ast) -> Vec<NodeSignature> {
-    let mut out = Vec::new();
-    let mut stack: Vec<NodeId> = vec![ast.root()];
-    while let Some(id) = stack.pop() {
-        let node = ast.node(id);
-        out.push((
-            node.kind,
-            node.data.name.clone(),
-            node.data.opcode.clone(),
-            node.data.int_value,
-            node.data.float_value.map(f64::to_bits),
-        ));
-        // Push children reversed so the walk is preorder left-to-right.
-        for &c in node.children.iter().rev() {
-            stack.push(c);
-        }
-    }
-    out
 }
 
 #[test]

@@ -1,27 +1,14 @@
 //! Property test over the structured program generator: the
 //! formatting-independence of downstream analysis inputs.
 //!
-//! This complements `fuzz_smoke.rs`, whose harness compares each generated
-//! program with its `reformat` twin node for node over the first seeds;
-//! here proptest draws program and style seeds from wide ranges and
-//! compares the counts of the node kinds the analyses read.
+//! This is the wide-range sampler of `fuzz_smoke.rs`'s reformat-twin check:
+//! that harness walks the first seeds, each with one style; here proptest
+//! draws program and style seeds from wide ranges. Both compare a program
+//! with its `reformat` twin node for node, by `signature`.
 
-use pg_frontend::testing::{reformat, Generator, Rng as FuzzRng};
-use pg_frontend::{parse, AstKind};
+use pg_frontend::parse;
+use pg_frontend::testing::{reformat, signature, Generator, Rng as FuzzRng};
 use proptest::prelude::*;
-
-const STRUCTURAL_KINDS: [AstKind; 10] = [
-    AstKind::FunctionDecl,
-    AstKind::VarDecl,
-    AstKind::ForStmt,
-    AstKind::WhileStmt,
-    AstKind::IfStmt,
-    AstKind::BinaryOperator,
-    AstKind::CompoundAssignOperator,
-    AstKind::ConditionalOperator,
-    AstKind::ArraySubscriptExpr,
-    AstKind::OmpParallelForDirective,
-];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -36,14 +23,12 @@ proptest! {
         let twin = reformat(&src, &mut style);
         let ast1 = parse(&src).expect("original parses");
         let ast2 = parse(&twin).expect("whitespace/comment twin parses");
-        for kind in STRUCTURAL_KINDS {
-            prop_assert_eq!(
-                ast1.find_all(kind).len(),
-                ast2.find_all(kind).len(),
-                "count of {:?} changed under reformatting (seed {})",
-                kind,
-                seed
-            );
-        }
+        prop_assert_eq!(
+            signature(&ast1),
+            signature(&ast2),
+            "AST changed under reformatting (seed {}, style seed {})",
+            seed,
+            style_seed
+        );
     }
 }

@@ -44,32 +44,12 @@ impl RuntimePredictor for GnnBackend {
         "gnn"
     }
 
-    fn predict(
-        &self,
-        ctx: &PredictionContext<'_>,
-        instance: &KernelInstance,
-    ) -> Result<f64, EngineError> {
-        if ctx.platform() != self.trained_on {
-            return Err(EngineError::BackendUnavailable(format!(
-                "GNN model was trained on {} but the engine serves {}",
-                self.trained_on.name(),
-                ctx.platform().name()
-            )));
-        }
-        let graph = ctx.relational_graph(instance, self.bundle.representation)?;
-        Ok(f64::from(self.bundle.predict_relational(
-            &graph,
-            instance.launch.teams,
-            instance.launch.threads,
-        )))
-    }
-
-    /// Batched override: the whole candidate set becomes one (chunked)
-    /// disjoint-union forward pass instead of one tape per candidate. Graph
-    /// construction goes through the engine's memoized frontend in batch
-    /// order, so the launches of one body share its parse; candidates whose
-    /// source fails the frontend report their own error while the rest of
-    /// the batch proceeds.
+    /// The whole candidate set becomes one (chunked) disjoint-union forward
+    /// pass instead of one tape per candidate. Graph construction goes
+    /// through the engine's memoized frontend in batch order, so the
+    /// launches of one body share its parse; candidates whose source fails
+    /// the frontend report their own error while the rest of the batch
+    /// proceeds.
     fn predict_batch(
         &self,
         ctx: &PredictionContext<'_>,
@@ -138,33 +118,11 @@ mod tests {
         }
     }
 
-    /// `GnnBackend::predict` once per instance, through the trait's default
-    /// `predict_batch`.
-    struct PerInstance(GnnBackend);
-
-    impl RuntimePredictor for PerInstance {
-        fn name(&self) -> &str {
-            "gnn-per-instance"
-        }
-
-        fn predict(
-            &self,
-            ctx: &PredictionContext<'_>,
-            instance: &KernelInstance,
-        ) -> Result<f64, EngineError> {
-            self.0.predict(ctx, instance)
-        }
-    }
-
-    fn engine(
-        platform: Platform,
-        options: ParseOptions,
-        backend: impl RuntimePredictor + 'static,
-    ) -> Engine {
+    fn engine(platform: Platform, options: ParseOptions) -> Engine {
         Engine::builder()
             .platform(platform)
             .parse_options(options)
-            .backend(backend)
+            .backend(GnnBackend::new(bundle(), platform))
             .build()
     }
 
@@ -183,10 +141,10 @@ mod tests {
             .instances()
     }
 
-    /// Asserts that `predict_batch` equals one `predict` per instance, bit
-    /// for bit and error for error, each side on a fresh engine under
+    /// Asserts that one batch equals a batch of one per instance, bit for
+    /// bit and error for error, each side on a fresh engine under
     /// `options`. Returns the batch's results and its cache activity.
-    fn batch_matching_per_instance(
+    fn batch_matching_singletons(
         platform: Platform,
         options: ParseOptions,
         instances: &[KernelInstance],
@@ -197,26 +155,25 @@ mod tests {
                 .map(|r| r.clone().map(f64::to_bits))
                 .collect()
         };
-        let batched = engine(platform, options, GnnBackend::new(bundle(), platform));
-        let (batch, counters) = batched.predict_instances_counted(instances);
-        let single = engine(
-            platform,
-            options,
-            PerInstance(GnnBackend::new(bundle(), platform)),
-        );
-        assert_eq!(bits(&batch), bits(&single.predict_instances(instances)));
+        let (batch, counters) = engine(platform, options).predict_instances_counted(instances);
+        let single = engine(platform, options);
+        let singletons: Vec<_> = instances
+            .iter()
+            .flat_map(|instance| single.predict_instances(std::slice::from_ref(instance)))
+            .collect();
+        assert_eq!(bits(&batch), bits(&singletons));
         (batch, counters)
     }
 
     #[test]
-    fn batch_equals_per_instance_predict_on_every_catalogue_candidate_set() {
+    fn batch_equals_singleton_batches_on_every_catalogue_candidate_set() {
         for platform in [Platform::SummitV100, Platform::SummitPower9] {
             for kernel in pg_kernels::all_kernels() {
                 let instances = candidates(platform, kernel);
                 let bodies: HashSet<_> = instances.iter().map(KernelInstance::body_key).collect();
                 assert!(bodies.len() < instances.len());
                 let (results, cache) =
-                    batch_matching_per_instance(platform, ParseOptions::default(), &instances);
+                    batch_matching_singletons(platform, ParseOptions::default(), &instances);
                 assert!(results.iter().all(Result::is_ok));
                 // One graph miss per instance, one AST miss per body; every
                 // other launch of a body hits its AST.
@@ -239,7 +196,7 @@ mod tests {
         let mut bad = batch[0].clone();
         bad.source = "this is not C".to_string();
         batch.insert(1, bad);
-        let (results, _) = batch_matching_per_instance(platform, ParseOptions::default(), &batch);
+        let (results, _) = batch_matching_singletons(platform, ParseOptions::default(), &batch);
         for (i, result) in results.iter().enumerate() {
             assert_eq!(result.is_err(), i == 1, "{i}: {result:?}");
         }
@@ -262,7 +219,7 @@ mod tests {
         // Shortest first, then longest first: whichever member comes first,
         // each is admitted or refused on its own length.
         for _ in 0..2 {
-            let (results, _) = batch_matching_per_instance(platform, options, &body);
+            let (results, _) = batch_matching_singletons(platform, options, &body);
             for (instance, result) in body.iter().zip(&results) {
                 match result {
                     Ok(_) => assert!(instance.source.len() <= cap),

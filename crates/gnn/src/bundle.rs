@@ -5,16 +5,16 @@
 //! and are easy to lose track of — and a model is useless for serving
 //! without them. [`TrainedModel`] bundles everything a prediction needs
 //! (model weights, the graph representation it was trained on, the fitted
-//! target transform and side-feature scaler) behind source- and graph-level
-//! `predict` entry points. The `pg-engine` GNN backend consumes exactly this
-//! bundle.
+//! target transform and side-feature scaler) behind one batched entry
+//! point, [`TrainedModel::predict_relational_batch`], which prices a whole
+//! candidate set of relational graphs. The `pg-engine` GNN backend consumes
+//! exactly this bundle.
 
 use crate::batch::{BatchedGraph, PreparedGraph, FORWARD_CHUNK};
 use crate::model::ParaGraphModel;
 use crate::train::{prepare, train_prepared, TrainConfig, TrainError, TrainedOutcome};
-use paragraph_core::{build, to_relational, BuilderConfig, RelationalGraph, Representation};
+use paragraph_core::{BuilderConfig, RelationalGraph, Representation};
 use pg_dataset::PlatformDataset;
-use pg_frontend::FrontendError;
 use pg_tensor::{MinMaxScaler, Tape, TargetTransform};
 use serde::{Deserialize, Serialize};
 
@@ -58,21 +58,15 @@ impl TrainedModel {
         BuilderConfig::for_representation(self.representation).with_launch(teams, threads)
     }
 
-    /// Predict the runtime (ms) from an already-built relational graph and a
-    /// raw launch configuration.
-    pub fn predict_relational(&self, graph: &RelationalGraph, teams: u64, threads: u64) -> f32 {
-        let side = self.side_scaler.transform(&[teams as f32, threads as f32]);
-        let encoded = self.model.predict_graph(graph, [side[0], side[1]]);
-        self.target_transform.decode(encoded).max(0.0)
-    }
-
-    /// Predict the runtimes (ms) of a whole candidate set in batched forward
+    /// Predict the runtimes (ms) of a whole candidate set, each item a
+    /// relational graph built with [`TrainedModel::builder_config`] and its
+    /// raw launch configuration `(graph, teams, threads)`. Batched forward
     /// passes: each graph's CSR patterns are built once, the graphs are
     /// joined block-diagonally into disjoint unions of up to
     /// `FORWARD_CHUNK` (64) members, and each chunk is driven through one
     /// forward pass, so parameters are registered once per chunk instead of
-    /// once per candidate. Results are ordered like the input and match
-    /// [`TrainedModel::predict_relational`] to float precision.
+    /// once per candidate. Results are ordered like the input, and a
+    /// candidate's prediction does not depend on what it is batched with.
     ///
     /// The tape is fresh per call and dropped with it. A serving process
     /// calls this from many threads; a tape kept per thread would grow every
@@ -123,20 +117,6 @@ impl TrainedModel {
     ) -> Result<crate::registry::LoadedBundle, crate::registry::BundleError> {
         crate::registry::load_bundle(path)
     }
-
-    /// Predict the runtime (ms) of a kernel source under a launch
-    /// configuration: parse, build the graph in this model's representation,
-    /// and run the forward pass.
-    pub fn predict_source(
-        &self,
-        source: &str,
-        teams: u64,
-        threads: u64,
-    ) -> Result<f32, FrontendError> {
-        let ast = pg_frontend::parse(source)?;
-        let graph = to_relational(&build(&ast, &self.builder_config(teams, threads)));
-        Ok(self.predict_relational(&graph, teams, threads))
-    }
 }
 
 #[cfg(test)]
@@ -164,14 +144,27 @@ mod tests {
         let (bundle, _) = TrainedModel::fit(&ds, &config).unwrap();
 
         // Re-derive the prepared dataset the training run used and check the
-        // bundle's source-level path reproduces evaluate()'s predictions.
+        // bundle, fed graphs built from each point's source, reproduces
+        // evaluate()'s predictions.
         let prepared = prepare(&ds, config.representation, config.seed);
         let records = evaluate(&bundle.model, &prepared, &prepared.val_idx);
-        for (record, &idx) in records.iter().zip(prepared.val_idx.iter()).take(10) {
-            let point = &ds.points[idx];
-            let from_source = bundle
-                .predict_source(&point.source, point.teams, point.threads)
-                .unwrap();
+        let graphs: Vec<(RelationalGraph, u64, u64)> = prepared
+            .val_idx
+            .iter()
+            .take(10)
+            .map(|&idx| {
+                let point = &ds.points[idx];
+                let ast = pg_frontend::parse(&point.source).unwrap();
+                let config = bundle.builder_config(point.teams, point.threads);
+                let graph = paragraph_core::to_relational(&paragraph_core::build(&ast, &config));
+                (graph, point.teams, point.threads)
+            })
+            .collect();
+        let items: Vec<(&RelationalGraph, u64, u64)> =
+            graphs.iter().map(|(g, t, th)| (g, *t, *th)).collect();
+        let from_source = bundle.predict_relational_batch(&items);
+        assert_eq!(from_source.len(), 10);
+        for (record, from_source) in records.iter().zip(from_source) {
             assert!(
                 (from_source - record.predicted_ms).abs()
                     <= 1e-4 * record.predicted_ms.abs().max(1.0),
@@ -179,12 +172,5 @@ mod tests {
                 record.predicted_ms
             );
         }
-    }
-
-    #[test]
-    fn invalid_source_is_an_error() {
-        let ds = tiny_dataset();
-        let (bundle, _) = TrainedModel::fit(&ds, &TrainConfig::fast()).unwrap();
-        assert!(bundle.predict_source("not C at all", 80, 128).is_err());
     }
 }

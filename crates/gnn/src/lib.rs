@@ -24,7 +24,7 @@ pub use backend::GnnBackend;
 pub use batch::{BatchedGraph, PreparedGraph, PreparedRelation};
 pub use bundle::TrainedModel;
 pub use metrics::{binned_relative_error, per_application_error, per_variant_error, BinError};
-pub use model::{GraphSample, ModelConfig, ParaGraphModel};
+pub use model::{ModelConfig, ParaGraphModel};
 pub use registry::{
     load_bundle, save_bundle, BundleError, LoadedBundle, ModelRegistry, BUNDLE_FORMAT_VERSION,
 };

@@ -4,9 +4,9 @@
 //! and threads), and a fully connected head that maps the concatenation of
 //! both embeddings to the predicted runtime.
 
-use crate::batch::{BatchedGraph, PreparedGraph};
+use crate::batch::BatchedGraph;
 use crate::rgat::RgatLayer;
-use paragraph_core::{RelationalGraph, NODE_FEATURE_DIM};
+use paragraph_core::NODE_FEATURE_DIM;
 use pg_tensor::{init, Matrix, Tape, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -87,18 +87,6 @@ pub struct ParaGraphModel {
     pub head1: DenseLayer,
     /// Output layer producing the scalar runtime prediction.
     pub head2: DenseLayer,
-}
-
-/// One sample presented to the model: a relational graph, the scaled side
-/// features and the encoded target.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphSample {
-    /// GNN-ready graph.
-    pub graph: RelationalGraph,
-    /// Scaled (teams, threads) side features.
-    pub side: [f32; 2],
-    /// Encoded (scaled) runtime target.
-    pub target: f32,
 }
 
 impl ParaGraphModel {
@@ -256,68 +244,58 @@ impl ParaGraphModel {
         let (prediction, _, _) = self.forward_batched(tape, batch, None);
         tape.value(prediction).col(0)
     }
-
-    /// Predict the encoded runtime of one prepared graph on a caller-owned
-    /// tape.
-    pub fn predict_prepared(&self, tape: &mut Tape, graph: &PreparedGraph, side: [f32; 2]) -> f32 {
-        self.predict_batched(tape, &BatchedGraph::single(graph, side))[0]
-    }
-
-    /// Predict the encoded runtime of one sample (inference only).
-    pub fn predict(&self, sample: &GraphSample) -> f32 {
-        self.predict_graph(&sample.graph, sample.side)
-    }
-
-    /// Predict the encoded runtime from a borrowed graph and already-scaled
-    /// side features, without building a [`GraphSample`].
-    pub fn predict_graph(&self, graph: &RelationalGraph, side: [f32; 2]) -> f32 {
-        let prepared = PreparedGraph::from_relational(graph);
-        let mut tape = Tape::new();
-        self.predict_prepared(&mut tape, &prepared, side)
-    }
-
-    /// Compute the loss and parameter gradients for one sample.
-    /// The gradients are aligned with [`ParaGraphModel::parameters`].
-    ///
-    /// This is the per-sample reference path: training and serving use
-    /// [`ParaGraphModel::forward_batched`], and the golden-equivalence tests
-    /// pin the batched results against this one.
-    pub fn loss_and_gradients(&self, sample: &GraphSample) -> (f32, Vec<Matrix>) {
-        let prepared = PreparedGraph::from_relational(&sample.graph);
-        let batch = BatchedGraph::single(&prepared, sample.side);
-        let mut tape = Tape::new();
-        let (_, loss, param_vars) = self.forward_batched(&mut tape, &batch, Some(&[sample.target]));
-        let loss = loss.expect("loss requested");
-        let timer = pg_obs::obs().timer(pg_obs::Stage::GnnBackward);
-        tape.backward(loss);
-        timer.finish();
-        let grads = param_vars.iter().map(|&v| tape.grad(v)).collect();
-        (tape.value(loss).get(0, 0), grads)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::PreparedGraph;
     use paragraph_core::{build_default, to_relational};
     use pg_frontend::parse;
 
-    fn sample_from_source(src: &str, side: [f32; 2], target: f32) -> GraphSample {
+    /// One training sample: a prepared graph, its scaled side features and
+    /// its encoded target.
+    struct Sample {
+        graph: PreparedGraph,
+        side: [f32; 2],
+        target: f32,
+    }
+
+    fn sample_from_source(src: &str, side: [f32; 2], target: f32) -> Sample {
         let ast = parse(src).unwrap();
-        let graph = to_relational(&build_default(&ast));
-        GraphSample {
+        let graph = PreparedGraph::from_relational(&to_relational(&build_default(&ast)));
+        Sample {
             graph,
             side,
             target,
         }
     }
 
-    fn small_sample(target: f32) -> GraphSample {
+    fn small_sample(target: f32) -> Sample {
         sample_from_source(
             "void f(float *a) { for (int i = 0; i < 64; i++) { a[i] = a[i] * 2.0 + 1.0; } }",
             [0.3, 0.7],
             target,
         )
+    }
+
+    /// The encoded prediction of a batch of one.
+    fn predict_one(model: &ParaGraphModel, sample: &Sample) -> f32 {
+        let batch = BatchedGraph::single(&sample.graph, sample.side);
+        model.predict_batched(&mut Tape::new(), &batch)[0]
+    }
+
+    /// The loss and parameter gradients of a batch of one, aligned with
+    /// [`ParaGraphModel::parameters`].
+    fn loss_and_gradients_one(model: &ParaGraphModel, sample: &Sample) -> (f32, Vec<Matrix>) {
+        let batch = BatchedGraph::single(&sample.graph, sample.side);
+        let mut tape = Tape::new();
+        let (_, loss, param_vars) =
+            model.forward_batched(&mut tape, &batch, Some(&[sample.target]));
+        let loss = loss.expect("targets were supplied");
+        tape.backward(loss);
+        let grads = param_vars.iter().map(|&v| tape.grad(v)).collect();
+        (tape.value(loss).get(0, 0), grads)
     }
 
     #[test]
@@ -336,8 +314,8 @@ mod tests {
     fn prediction_is_finite_and_deterministic() {
         let model = ParaGraphModel::new(ModelConfig::tiny(), 7);
         let sample = small_sample(0.4);
-        let a = model.predict(&sample);
-        let b = model.predict(&sample);
+        let a = predict_one(&model, &sample);
+        let b = predict_one(&model, &sample);
         assert!(a.is_finite());
         assert_eq!(a, b);
     }
@@ -346,7 +324,7 @@ mod tests {
     fn gradients_have_parameter_shapes_and_are_nonzero() {
         let model = ParaGraphModel::new(ModelConfig::tiny(), 3);
         let sample = small_sample(0.9);
-        let (loss, grads) = model.loss_and_gradients(&sample);
+        let (loss, grads) = loss_and_gradients_one(&model, &sample);
         assert!(loss.is_finite() && loss >= 0.0);
         assert_eq!(grads.len(), model.parameters().len());
         for (g, p) in grads.iter().zip(model.parameters()) {
@@ -368,7 +346,7 @@ mod tests {
             [0.3, 0.7],
             0.1,
         );
-        assert_ne!(model.predict(&a), model.predict(&b));
+        assert_ne!(predict_one(&model, &a), predict_one(&model, &b));
     }
 
     #[test]
@@ -378,7 +356,10 @@ mod tests {
         few_threads.side = [0.0, 0.05];
         let mut many_threads = small_sample(0.5);
         many_threads.side = [1.0, 1.0];
-        assert_ne!(model.predict(&few_threads), model.predict(&many_threads));
+        assert_ne!(
+            predict_one(&model, &few_threads),
+            predict_one(&model, &many_threads)
+        );
     }
 
     #[test]
@@ -392,7 +373,7 @@ mod tests {
         });
         let mut last_loss = f32::INFINITY;
         for _ in 0..150 {
-            let (loss, grads) = model.loss_and_gradients(&sample);
+            let (loss, grads) = loss_and_gradients_one(&model, &sample);
             last_loss = loss;
             adam.begin_step();
             for (key, (param, grad)) in model

@@ -17,21 +17,64 @@
 //!   the batched path's speedup over this one and records it in
 //!   `BENCH_gnn.json`.
 //!
-//! Nothing in the serving or training path calls into this module.
+//! A [`PreparedDataset`] holds only the tensor form of each graph, so this
+//! path builds its own samples ([`samples`]): each point's relational graph
+//! rebuilt from the dataset, with the prepared set's side features and
+//! target. Nothing in the serving or training path calls into this module.
 
-use crate::model::{GraphSample, ParaGraphModel};
+use crate::model::ParaGraphModel;
 use crate::rgat::{RgatLayer, ATTENTION_LEAKY_SLOPE};
 use crate::train::{
     summarize, EpochStats, PredictionRecord, PreparedDataset, TrainConfig, TrainError,
     TrainedOutcome, TrainingHistory,
 };
 use legacy::{Tape, Var};
-use paragraph_core::RelationalGraph;
+use paragraph_core::{RelationalGraph, Representation};
+use pg_dataset::PlatformDataset;
 use pg_tensor::{Adam, AdamConfig, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
+
+/// One sample as the reference path reads it: a relational graph, the
+/// scaled side features and the encoded target.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GraphSample {
+    /// GNN-ready graph.
+    pub graph: RelationalGraph,
+    /// Scaled (teams, threads) side features.
+    pub side: [f32; 2],
+    /// Encoded (scaled) runtime target.
+    pub target: f32,
+}
+
+/// The reference samples of `prepared`, which [`crate::prepare`] made from
+/// `dataset` in `representation`: each point's relational graph, built
+/// again, with the prepared set's side features and target. Aligned with
+/// the prepared set's samples.
+pub fn samples(
+    dataset: &PlatformDataset,
+    prepared: &PreparedDataset,
+    representation: Representation,
+) -> Vec<GraphSample> {
+    assert_eq!(dataset.len(), prepared.meta.len(), "one point per sample");
+    let graphs: Vec<RelationalGraph> = dataset
+        .points
+        .par_iter()
+        .map(|point| point.build_relational(representation))
+        .collect();
+    graphs
+        .into_iter()
+        .zip(&prepared.sides)
+        .zip(&prepared.targets)
+        .map(|((graph, &side), &target)| GraphSample {
+            graph,
+            side,
+            target,
+        })
+        .collect()
+}
 
 mod legacy {
     //! The original reverse-mode tape, vendored from the pre-batching
@@ -528,16 +571,18 @@ pub fn loss_and_gradients(model: &ParaGraphModel, sample: &GraphSample) -> (f32,
     (tape.value(loss).get(0, 0), grads)
 }
 
-/// Legacy evaluation: one tape per sample, rayon fan-out.
+/// Legacy evaluation: one tape per sample, rayon fan-out. `samples` are
+/// the reference samples of `prepared` ([`samples`]).
 pub fn evaluate(
     model: &ParaGraphModel,
+    samples: &[GraphSample],
     prepared: &PreparedDataset,
     indices: &[usize],
 ) -> Vec<PredictionRecord> {
     indices
         .par_iter()
         .map(|&i| {
-            let sample = &prepared.samples[i];
+            let sample = &samples[i];
             let encoded = predict_graph(model, &sample.graph, sample.side);
             let predicted_ms = prepared.target_transform.decode(encoded).max(0.0);
             let meta = &prepared.meta[i];
@@ -553,8 +598,10 @@ pub fn evaluate(
 }
 
 /// The legacy training loop: rayon-parallel per-sample gradients,
-/// hand-averaged, one fresh tape per sample per step.
+/// hand-averaged, one fresh tape per sample per step. `samples` are the
+/// reference samples of `prepared` ([`samples`]).
 pub fn train_prepared(
+    samples: &[GraphSample],
     prepared: &PreparedDataset,
     config: &TrainConfig,
 ) -> Result<TrainedOutcome, TrainError> {
@@ -581,7 +628,7 @@ pub fn train_prepared(
         for batch in train_order.chunks(config.batch_size.max(1)) {
             let results: Vec<(f32, Vec<Matrix>)> = batch
                 .par_iter()
-                .map(|&i| loss_and_gradients(&model, &prepared.samples[i]))
+                .map(|&i| loss_and_gradients(&model, &samples[i]))
                 .collect();
 
             let batch_len = results.len().max(1) as f32;
@@ -610,7 +657,7 @@ pub fn train_prepared(
             }
         }
 
-        let val_records = evaluate(&model, prepared, &prepared.val_idx);
+        let val_records = evaluate(&model, samples, prepared, &prepared.val_idx);
         let (rmse_ms, norm_rmse, _) = summarize(&val_records);
         history.epochs.push(EpochStats {
             epoch,
@@ -620,7 +667,7 @@ pub fn train_prepared(
         });
     }
 
-    let validation = evaluate(&model, prepared, &prepared.val_idx);
+    let validation = evaluate(&model, samples, prepared, &prepared.val_idx);
     let (rmse_ms, norm_rmse, runtime_range_ms) = summarize(&validation);
     Ok(TrainedOutcome {
         model,

@@ -9,10 +9,11 @@
 //! of per-sample gradients, which is exactly what the previous per-sample
 //! path averaged by hand. [`crate::reference`] keeps that path alive as the
 //! baseline for the golden-equivalence tests and the `gnn_training`
-//! benchmark.
+//! benchmark; it builds its own relational graphs, so a prepared dataset
+//! holds one graph per sample.
 
 use crate::batch::{BatchedGraph, PreparedGraph, FORWARD_CHUNK};
-use crate::model::{GraphSample, ModelConfig, ParaGraphModel};
+use crate::model::{ModelConfig, ParaGraphModel};
 use paragraph_core::Representation;
 use pg_dataset::PlatformDataset;
 use pg_tensor::{metrics, Adam, AdamConfig, Matrix, MinMaxScaler, Tape, TargetTransform};
@@ -110,16 +111,18 @@ pub struct SampleMeta {
     pub runtime_ms: f32,
 }
 
-/// The dataset converted to model inputs.
+/// The dataset converted to model inputs: per sample, its graph, scaled
+/// side features and encoded target, each vector aligned with `meta`.
 #[derive(Debug, Clone)]
 pub struct PreparedDataset {
-    /// Model-ready samples, aligned with `meta`.
-    pub samples: Vec<GraphSample>,
-    /// Tensor-ready form of each sample's graph (flattened features,
-    /// interned edge lists, materialised attention priors), aligned with
-    /// `samples`. Converted once here so neither training epochs nor
-    /// evaluation passes re-clone edge lists or re-flatten features.
-    pub prepared: Vec<PreparedGraph>,
+    /// Tensor-ready form of each sample's graph (flattened features, CSR
+    /// patterns, attention priors in CSR order). Converted once here so
+    /// neither training epochs nor evaluation passes rebuild them.
+    pub graphs: Vec<PreparedGraph>,
+    /// Scaled `(teams, threads)` side features of each sample.
+    pub sides: Vec<[f32; 2]>,
+    /// Encoded (scaled) runtime target of each sample.
+    pub targets: Vec<f32>,
     /// Per-sample metadata.
     pub meta: Vec<SampleMeta>,
     /// Target transform fitted on the training split.
@@ -213,25 +216,25 @@ pub fn prepare(
         MinMaxScaler::fit(&train_side)
     };
 
-    // Build all graphs in parallel.
-    let samples: Vec<GraphSample> = dataset
+    // Build and convert every graph in one parallel pass; each relational
+    // graph is dropped as soon as its tensor form exists.
+    let graphs: Vec<PreparedGraph> = dataset
         .points
         .par_iter()
+        .map(|point| PreparedGraph::from_relational(&point.build_relational(representation)))
+        .collect();
+    let sides: Vec<[f32; 2]> = dataset
+        .points
+        .iter()
         .map(|point| {
-            let graph = point.build_relational(representation);
             let side = side_scaler.transform(&[point.teams as f32, point.threads as f32]);
-            GraphSample {
-                graph,
-                side: [side[0], side[1]],
-                target: target_transform.encode(point.runtime_ms as f32),
-            }
+            [side[0], side[1]]
         })
         .collect();
-
-    // One-time tensor conversion (flatten features, intern edge lists).
-    let prepared: Vec<PreparedGraph> = samples
-        .par_iter()
-        .map(|s| PreparedGraph::from_relational(&s.graph))
+    let targets: Vec<f32> = dataset
+        .points
+        .iter()
+        .map(|point| target_transform.encode(point.runtime_ms as f32))
         .collect();
 
     let meta: Vec<SampleMeta> = dataset
@@ -246,8 +249,9 @@ pub fn prepare(
         .collect();
 
     PreparedDataset {
-        samples,
-        prepared,
+        graphs,
+        sides,
+        targets,
         meta,
         target_transform,
         side_scaler,
@@ -260,7 +264,7 @@ pub fn prepare(
 fn batch_of(prepared: &PreparedDataset, indices: &[usize]) -> BatchedGraph {
     let items: Vec<(&PreparedGraph, [f32; 2])> = indices
         .iter()
-        .map(|&i| (&prepared.prepared[i], prepared.samples[i].side))
+        .map(|&i| (&prepared.graphs[i], prepared.sides[i]))
         .collect();
     BatchedGraph::build(&items)
 }
@@ -353,10 +357,7 @@ pub fn train_prepared(
         for batch_indices in train_order.chunks(config.batch_size.max(1)) {
             tape.reset();
             let batch = batch_of(prepared, batch_indices);
-            let targets: Vec<f32> = batch_indices
-                .iter()
-                .map(|&i| prepared.samples[i].target)
-                .collect();
+            let targets: Vec<f32> = batch_indices.iter().map(|&i| prepared.targets[i]).collect();
             let (_, loss, param_vars) = model.forward_batched(&mut tape, &batch, Some(&targets));
             let loss = loss.expect("targets were supplied");
             let backward_timer = pg_obs::obs().timer(pg_obs::Stage::GnnBackward);
@@ -436,19 +437,15 @@ mod tests {
     fn prepare_builds_one_sample_per_point() {
         let ds = tiny_dataset();
         let prepared = prepare(&ds, Representation::ParaGraph, 1);
-        assert_eq!(prepared.samples.len(), ds.len());
+        assert_eq!(prepared.graphs.len(), ds.len());
+        assert_eq!(prepared.sides.len(), ds.len());
+        assert_eq!(prepared.targets.len(), ds.len());
         assert_eq!(prepared.meta.len(), ds.len());
         assert_eq!(prepared.train_idx.len() + prepared.val_idx.len(), ds.len());
         // Encoded targets are within [0, 1] (training split) or close to it.
-        assert!(prepared
-            .samples
-            .iter()
-            .all(|s| s.target >= -0.2 && s.target <= 1.2));
+        assert!(prepared.targets.iter().all(|&t| (-0.2..=1.2).contains(&t)));
         // Side features are scaled.
-        assert!(prepared
-            .samples
-            .iter()
-            .all(|s| s.side[0] >= 0.0 && s.side[0] <= 1.0));
+        assert!(prepared.sides.iter().all(|s| (0.0..=1.0).contains(&s[0])));
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! the same kernels as per-sample rows, so the only drift is float
 //! re-association across samples in the loss and gradient reductions).
 
+use paragraph_core::Representation;
 use pg_dataset::{collect_platform, DatasetScale, PipelineConfig, PlatformDataset};
+use pg_gnn::reference::{self, GraphSample};
 use pg_gnn::{
-    evaluate, prepare, reference, train_prepared, BatchedGraph, GnnBackend, ModelConfig,
-    ParaGraphModel, PreparedGraph, TrainConfig, TrainedModel,
+    evaluate, prepare, train_prepared, BatchedGraph, GnnBackend, ModelConfig, ParaGraphModel,
+    PreparedDataset, PreparedGraph, TrainConfig, TrainedModel,
 };
 use pg_perfsim::Platform;
 use pg_tensor::{Matrix, Tape};
@@ -27,29 +29,40 @@ fn tiny_dataset() -> PlatformDataset {
     )
 }
 
+/// The dataset prepared in `representation` with `seed`, and the reference
+/// path's samples of it.
+fn prepared_with_samples(
+    ds: &PlatformDataset,
+    representation: Representation,
+    seed: u64,
+) -> (PreparedDataset, Vec<GraphSample>) {
+    let prepared = prepare(ds, representation, seed);
+    let samples = reference::samples(ds, &prepared, representation);
+    (prepared, samples)
+}
+
 #[test]
 fn batched_predictions_match_per_sample_within_tolerance() {
     let ds = tiny_dataset();
-    let prepared = prepare(&ds, paragraph_core::Representation::ParaGraph, 7);
+    let (prepared, samples) = prepared_with_samples(&ds, Representation::ParaGraph, 7);
     let model = ParaGraphModel::new(ModelConfig::tiny(), 7);
 
     // Per-sample legacy reference: one fresh tape per sample, concat-based
     // attention — the pre-batching execution path.
-    let reference: Vec<f32> = prepared
-        .samples
+    let reference: Vec<f32> = samples
         .iter()
         .map(|s| reference::predict_graph(&model, &s.graph, s.side))
         .collect();
 
     // Batched: every sample in chunked disjoint unions on one reused tape.
     let mut tape = Tape::new();
-    let mut batched = Vec::with_capacity(prepared.samples.len());
-    for chunk in prepared.prepared.chunks(17) {
+    let mut batched = Vec::with_capacity(prepared.graphs.len());
+    for chunk in prepared.graphs.chunks(17) {
         let offset = batched.len();
         let items: Vec<(&PreparedGraph, [f32; 2])> = chunk
             .iter()
             .enumerate()
-            .map(|(i, graph)| (graph, prepared.samples[offset + i].side))
+            .map(|(i, graph)| (graph, prepared.sides[offset + i]))
             .collect();
         let batch = BatchedGraph::build(&items);
         batched.extend(model.predict_batched(&mut tape, &batch));
@@ -67,7 +80,7 @@ fn batched_predictions_match_per_sample_within_tolerance() {
 #[test]
 fn batched_gradients_match_mean_of_per_sample_gradients() {
     let ds = tiny_dataset();
-    let prepared = prepare(&ds, paragraph_core::Representation::ParaGraph, 11);
+    let (prepared, samples) = prepared_with_samples(&ds, Representation::ParaGraph, 11);
     let model = ParaGraphModel::new(ModelConfig::tiny(), 11);
     let batch_indices: Vec<usize> = prepared.train_idx.iter().copied().take(12).collect();
     assert!(batch_indices.len() >= 4, "need a real batch to compare");
@@ -81,7 +94,7 @@ fn batched_gradients_match_mean_of_per_sample_gradients() {
         .map(|p| Matrix::zeros(p.rows(), p.cols()))
         .collect();
     for &i in &batch_indices {
-        let (loss, grads) = reference::loss_and_gradients(&model, &prepared.samples[i]);
+        let (loss, grads) = reference::loss_and_gradients(&model, &samples[i]);
         mean_loss += loss;
         for (acc, g) in mean_grads.iter_mut().zip(grads.iter()) {
             acc.add_assign(g);
@@ -96,12 +109,9 @@ fn batched_gradients_match_mean_of_per_sample_gradients() {
     // Batched: one forward/backward over the disjoint union.
     let items: Vec<(&PreparedGraph, [f32; 2])> = batch_indices
         .iter()
-        .map(|&i| (&prepared.prepared[i], prepared.samples[i].side))
+        .map(|&i| (&prepared.graphs[i], prepared.sides[i]))
         .collect();
-    let targets: Vec<f32> = batch_indices
-        .iter()
-        .map(|&i| prepared.samples[i].target)
-        .collect();
+    let targets: Vec<f32> = batch_indices.iter().map(|&i| prepared.targets[i]).collect();
     let batch = BatchedGraph::build(&items);
     let mut tape = Tape::new();
     let (_, loss, param_vars) = model.forward_batched(&mut tape, &batch, Some(&targets));
@@ -126,10 +136,10 @@ fn batched_gradients_match_mean_of_per_sample_gradients() {
 #[test]
 fn batched_and_per_sample_evaluation_agree() {
     let ds = tiny_dataset();
-    let prepared = prepare(&ds, paragraph_core::Representation::ParaGraph, 5);
+    let (prepared, samples) = prepared_with_samples(&ds, Representation::ParaGraph, 5);
     let model = ParaGraphModel::new(ModelConfig::tiny(), 5);
     let batched = evaluate(&model, &prepared, &prepared.val_idx);
-    let reference = reference::evaluate(&model, &prepared, &prepared.val_idx);
+    let reference = reference::evaluate(&model, &samples, &prepared, &prepared.val_idx);
     assert_eq!(batched.len(), reference.len());
     for (b, r) in batched.iter().zip(reference.iter()) {
         assert_eq!(b.id, r.id);
@@ -156,9 +166,9 @@ fn trained_bundles_score_identically_on_the_validation_split() {
         epochs: 4,
         ..TrainConfig::fast()
     };
-    let prepared = prepare(&ds, config.representation, config.seed);
+    let (prepared, samples) = prepared_with_samples(&ds, config.representation, config.seed);
     let batched = train_prepared(&prepared, &config).unwrap();
-    let reference = reference::train_prepared(&prepared, &config).unwrap();
+    let reference = reference::train_prepared(&samples, &prepared, &config).unwrap();
 
     assert_eq!(batched.validation.len(), reference.validation.len());
     for (b, r) in batched.validation.iter().zip(reference.validation.iter()) {
@@ -204,14 +214,18 @@ fn engine_gnn_backend_batch_matches_per_instance_predictions() {
     assert!(report.failures.is_empty());
     assert!(report.rankings.len() > 1, "sweep should produce candidates");
 
-    // Per-instance reference: the bundle's single-graph path per candidate.
+    // Per-instance reference: each candidate's graph, built from the full
+    // source, priced alone in a batch of one.
     for ranked in &report.rankings {
         let graph = paragraph_core::to_relational(&paragraph_core::build(
             &pg_frontend::parse(source).unwrap(),
             &bundle.builder_config(ranked.launch.teams, ranked.launch.threads),
         ));
-        let reference =
-            bundle.predict_relational(&graph, ranked.launch.teams, ranked.launch.threads);
+        let reference = bundle.predict_relational_batch(&[(
+            &graph,
+            ranked.launch.teams,
+            ranked.launch.threads,
+        )])[0];
         let scale = reference.abs().max(1.0);
         assert!(
             (ranked.predicted_ms as f32 - reference).abs() <= TOLERANCE * scale,

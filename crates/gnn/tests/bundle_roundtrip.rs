@@ -4,7 +4,8 @@
 //! composition — the property the serving tier's micro-batcher relies on
 //! when it coalesces unrelated requests into one forward pass.
 
-use pg_dataset::{collect_platform, DatasetScale, PipelineConfig, PlatformDataset};
+use paragraph_core::{build, to_relational, RelationalGraph};
+use pg_dataset::{collect_platform, DataPoint, DatasetScale, PipelineConfig, PlatformDataset};
 use pg_gnn::registry::{load_bundle, BundleError};
 use pg_gnn::{evaluate, prepare, TrainConfig, TrainedModel};
 use pg_perfsim::Platform;
@@ -58,19 +59,22 @@ fn round_trip_preserves_validation_predictions_exactly() {
     // -> f32 is lossless), so the models compare equal...
     assert_eq!(loaded.model, *bundle);
     // ...and every validation-split prediction is bit-identical, through
-    // the same source-level entry point a serving process uses.
+    // the same batch entry point a serving process uses, fed graphs built
+    // from each point's source.
     let prepared = prepare(ds, config.representation, config.seed);
     let records = evaluate(&bundle.model, &prepared, &prepared.val_idx);
     assert!(!records.is_empty());
-    for (record, &idx) in records.iter().zip(prepared.val_idx.iter()) {
-        let point = &ds.points[idx];
-        let original = bundle
-            .predict_source(&point.source, point.teams, point.threads)
-            .unwrap();
-        let reloaded = loaded
-            .model
-            .predict_source(&point.source, point.teams, point.threads)
-            .unwrap();
+    let graphs: Vec<_> = prepared
+        .val_idx
+        .iter()
+        .map(|&idx| graph_of(bundle, &ds.points[idx]))
+        .collect();
+    let items: Vec<(&RelationalGraph, u64, u64)> =
+        graphs.iter().map(|(g, t, th)| (g, *t, *th)).collect();
+    let original = bundle.predict_relational_batch(&items);
+    let reloaded = loaded.model.predict_relational_batch(&items);
+    assert_eq!(original.len(), records.len());
+    for ((record, original), reloaded) in records.iter().zip(original).zip(reloaded) {
         assert_eq!(
             original.to_bits(),
             reloaded.to_bits(),
@@ -80,6 +84,17 @@ fn round_trip_preserves_validation_predictions_exactly() {
         );
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// A point's relational graph as the bundle expects it, with its launch.
+fn graph_of(bundle: &TrainedModel, point: &DataPoint) -> (RelationalGraph, u64, u64) {
+    let ast = pg_frontend::parse(&point.source).unwrap();
+    let config = bundle.builder_config(point.teams, point.threads);
+    (
+        to_relational(&build(&ast, &config)),
+        point.teams,
+        point.threads,
+    )
 }
 
 #[test]
@@ -166,21 +181,15 @@ proptest! {
 
 #[test]
 fn batched_prediction_is_invariant_to_batch_composition() {
-    use paragraph_core::{build, to_relational};
-
     let ds = tiny_dataset();
     let bundle = trained();
     let items: Vec<_> = ds
         .points
         .iter()
         .take(12)
-        .map(|p| {
-            let ast = pg_frontend::parse(&p.source).unwrap();
-            let graph = to_relational(&build(&ast, &bundle.builder_config(p.teams, p.threads)));
-            (graph, p.teams, p.threads)
-        })
+        .map(|p| graph_of(bundle, p))
         .collect();
-    let refs: Vec<(&paragraph_core::RelationalGraph, u64, u64)> =
+    let refs: Vec<(&RelationalGraph, u64, u64)> =
         items.iter().map(|(g, t, th)| (g, *t, *th)).collect();
 
     let full = bundle.predict_relational_batch(&refs);
@@ -198,14 +207,13 @@ fn batched_prediction_is_invariant_to_batch_composition() {
             );
         }
     }
-    // And the single-graph path agrees with the batched path to float
-    // precision (the two are different kernels, equivalent math — the
-    // contract pinned since the batched path landed).
-    for (i, &(graph, teams, threads)) in refs.iter().enumerate() {
-        let single = bundle.predict_relational(graph, teams, threads);
+    // And every candidate alone in a batch of one, not only the first,
+    // agrees with the full batch to float precision.
+    for (i, item) in refs.iter().enumerate() {
+        let single = bundle.predict_relational_batch(std::slice::from_ref(item))[0];
         assert!(
             (single - full[i]).abs() <= 1e-5 * single.abs().max(1.0),
-            "candidate {i}: single-graph path {single} vs batched {}",
+            "candidate {i}: batch of one {single} vs batched {}",
             full[i]
         );
     }

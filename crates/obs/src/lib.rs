@@ -253,11 +253,6 @@ impl Obs {
     pub fn traces(&self) -> Vec<FinishedTrace> {
         self.recorder.recent()
     }
-
-    /// The trace ring buffer.
-    pub fn recorder(&self) -> &TraceRecorder {
-        &self.recorder
-    }
 }
 
 /// The process-wide observability hub, configured from the environment on

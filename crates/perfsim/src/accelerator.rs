@@ -130,7 +130,8 @@ impl Platform {
     ///
     /// This is the single source of the "platform default" grid: the
     /// engine resolves `LaunchBudget::PlatformDefault` through it when it
-    /// builds the candidate space that advise and the tuner share.
+    /// builds the candidate space that advise and the tuner share, and the
+    /// dataset pipeline generates each platform's instances over it.
     pub fn default_budget(self) -> pg_advisor::ParallelismBudget {
         let units = self.parallel_units();
         if self.is_gpu() {

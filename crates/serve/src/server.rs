@@ -795,14 +795,13 @@ mod tests {
             "refusing"
         }
 
-        fn predict(
+        fn predict_batch(
             &self,
             _: &pg_engine::PredictionContext<'_>,
-            _: &pg_advisor::KernelInstance,
-        ) -> Result<f64, EngineError> {
-            Err(EngineError::BackendUnavailable(
-                "trained for another platform".into(),
-            ))
+            instances: &[pg_advisor::KernelInstance],
+        ) -> Vec<Result<f64, EngineError>> {
+            let refused = EngineError::BackendUnavailable("trained for another platform".into());
+            instances.iter().map(|_| Err(refused.clone())).collect()
         }
     }
 

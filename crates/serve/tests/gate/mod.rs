@@ -108,14 +108,6 @@ impl RuntimePredictor for Gated {
         self.inner.name()
     }
 
-    fn predict(
-        &self,
-        ctx: &PredictionContext<'_>,
-        instance: &KernelInstance,
-    ) -> Result<f64, EngineError> {
-        self.inner.predict(ctx, instance)
-    }
-
     fn predict_batch(
         &self,
         ctx: &PredictionContext<'_>,

@@ -63,16 +63,6 @@ impl Adam {
         &self.config
     }
 
-    /// Override the learning rate (e.g. for simple schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.config.learning_rate = lr;
-    }
-
-    /// Number of optimisation steps performed so far.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
     /// Begin a new optimisation step. Must be called once before the
     /// per-parameter [`Adam::step`] calls of one update.
     pub fn begin_step(&mut self) {

@@ -287,14 +287,6 @@ impl Matrix {
         (0..self.rows).map(|r| self.get(r, c)).collect()
     }
 
-    /// Reshape without copying. The number of elements must be preserved.
-    pub fn reshape(mut self, rows: usize, cols: usize) -> Self {
-        assert_eq!(self.data.len(), rows * cols, "reshape must preserve length");
-        self.rows = rows;
-        self.cols = cols;
-        self
-    }
-
     /// Transposed copy of the matrix.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);

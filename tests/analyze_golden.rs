@@ -3,8 +3,8 @@
 //! SafeWithClauses under the documented tolerances), hand-seeded race
 //! mutants must be rejected with span-accurate diagnostics, and the
 //! analyzer must stay panic-free and terminating on arbitrarily mutated
-//! sources. This is the contract that lets the engine run the gate on by
-//! default without perturbing a single ranking.
+//! sources. This is the contract that lets the engine always run the gate
+//! without perturbing a single ranking.
 
 use pg_advisor::{instantiate, LaunchConfig, Variant};
 use pg_analyze::{analyze_source, analyze_source_tolerant, catalogue_tolerances, Severity};
